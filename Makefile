@@ -30,11 +30,14 @@ race:
 
 # fuzz seeds the journal frame scanner with 10s of random torn/corrupt
 # inputs on top of the checked-in corpus, then the streaming frame decoder
-# (the replication wire format) with the same treatment.
+# (the replication wire format) with the same treatment, then the extent
+# planner against the nested-loop oracle, then the append-based query
+# response encoder against encoding/json.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournalFrames -fuzztime 10s ./internal/server/persist
 	$(GO) test -run '^$$' -fuzz FuzzStreamFrames -fuzztime 10s ./internal/server/persist
 	$(GO) test -run '^$$' -fuzz FuzzExtentJoinParity -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzQueryResponseEncoding -fuzztime 10s ./internal/server/api
 
 # e2e-replica runs the two-node replication suite under the race detector:
 # snapshot bootstrap, live journal tailing to parity through an update

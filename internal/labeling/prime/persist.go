@@ -363,7 +363,7 @@ func (l *Labeling) unmarshalNode(r *reader, parent *nodeLabel, isRoot bool) (*xm
 		if isRoot && (nl.selfPrime != 0 || nl.exp != 0) {
 			return nil, fmt.Errorf("%w: root carries a self-label", ErrBadFormat)
 		}
-		nl.deriveFrom(parent)
+		l.derive(nl, parent)
 		l.labels[n] = nl
 		childCount := r.uint()
 		if r.err != nil {

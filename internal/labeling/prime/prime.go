@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
+	"sync/atomic"
 
 	"primelabel/internal/labeling"
 	"primelabel/internal/order"
@@ -132,6 +134,9 @@ type nodeLabel struct {
 	exp       int      // exponent k for a 2^k self-label; 0 otherwise
 	orderKey  uint64   // prime keying this node in the SC table; 0 if untracked/root
 	selfCache *big.Int // memoized selfBig; reset when the self-label changes
+	// str memoizes the label's decimal form for LabelString. Readers fill
+	// it lazily and concurrently, hence the atomic; setLabel clears it.
+	str atomic.Pointer[string]
 }
 
 // setLabel stores the full label and refreshes the uint64 fast path. Most
@@ -142,10 +147,12 @@ type nodeLabel struct {
 // always final when the full label is computed). That keeps every read path
 // — IsAncestor, IsParent, SelfLabelOf — free of writes, so a quiescent
 // Labeling is safe for any number of concurrent readers; see the type's doc
-// comment.
+// comment. It drops the memoized decimal string, which is how a wrap or an
+// Opt2 conversion invalidates it.
 func (nl *nodeLabel) setLabel(v *big.Int) {
 	nl.label = v
 	nl.bits = int32(v.BitLen())
+	nl.str.Store(nil)
 	if v.BitLen() <= 64 {
 		nl.u64 = v.Uint64()
 		nl.small = true
@@ -179,9 +186,9 @@ func (nl *nodeLabel) selfBig() *big.Int {
 //
 // Concurrency: a Labeling is not internally synchronized, but all query
 // methods (IsAncestor, IsParent, Before, OrderOf, LabelBits, MaxLabelBits,
-// LabelOf, SelfLabelOf) are strictly read-only — no lazy memoization runs
-// during reads — so any number of goroutines may query concurrently as long
-// as no mutation (InsertChildAt, WrapNode, Delete) is in flight. Callers
+// LabelOf, SelfLabelOf, LabelString) are safe to call concurrently as long
+// as no mutation (InsertChildAt, WrapNode, Delete) is in flight: the only
+// write a read makes is LabelString's atomic memo fill. Callers
 // that mix queries and updates must serialize with an external lock such as
 // a sync.RWMutex; the label server in internal/server does exactly that.
 type Labeling struct {
@@ -202,6 +209,10 @@ type Labeling struct {
 	fastPath bool
 	// stats, when non-nil, receives IsAncestor outcome counts.
 	stats *AncestorStats
+	// bitHist[b] counts the labels whose bit length is b. Every label write
+	// and removal keeps it current (derive, Delete), and the last bucket is
+	// always non-empty, so MaxLabelBits is len(bitHist)-1 with no scan.
+	bitHist []int
 }
 
 var _ labeling.Labeling = (*Labeling)(nil)
@@ -316,7 +327,7 @@ func (l *Labeling) assign(n *xmltree.Node, parent *nodeLabel) {
 	default:
 		l.assignLeafSelf(n, nl)
 	}
-	nl.deriveFrom(parent)
+	l.derive(nl, parent)
 	l.labels[n] = nl
 	for _, c := range n.Children {
 		if c.Kind == xmltree.ElementNode {
@@ -497,15 +508,55 @@ func (l *Labeling) LabelBits(n *xmltree.Node) int {
 	return nl.label.BitLen()
 }
 
-// MaxLabelBits implements labeling.Labeling.
-func (l *Labeling) MaxLabelBits() int {
-	max := 0
-	for _, nl := range l.labels {
-		if b := nl.label.BitLen(); b > max {
-			max = b
-		}
+// LabelString returns n's full label in decimal, or "" if n is unlabeled.
+// The string is memoized on the node until its label next changes, which
+// for a prime label happens only when the node or an ancestor is wrapped or
+// converted by Opt2; concurrent readers may fill the memo.
+func (l *Labeling) LabelString(n *xmltree.Node) string {
+	nl, ok := l.labels[n]
+	if !ok {
+		return ""
 	}
-	return max
+	if p := nl.str.Load(); p != nil {
+		return *p
+	}
+	var s string
+	if nl.small {
+		s = strconv.FormatUint(nl.u64, 10)
+	} else {
+		s = nl.label.String()
+	}
+	nl.str.Store(&s)
+	return s
+}
+
+// MaxLabelBits implements labeling.Labeling in O(1): the highest non-empty
+// bucket of the bit-length histogram.
+func (l *Labeling) MaxLabelBits() int {
+	return max(len(l.bitHist)-1, 0)
+}
+
+// derive (re)computes nl's full label from its parent's, moving nl between
+// bit-length histogram buckets. Every label write goes through here.
+func (l *Labeling) derive(nl, parent *nodeLabel) {
+	if nl.label != nil {
+		l.uncountBits(nl.bits)
+	}
+	nl.deriveFrom(parent)
+	b := int(nl.bits)
+	if b >= len(l.bitHist) {
+		l.bitHist = append(l.bitHist, make([]int, b+1-len(l.bitHist))...)
+	}
+	l.bitHist[b]++
+}
+
+// uncountBits removes one label of bit length b from the histogram and
+// trims empty top buckets.
+func (l *Labeling) uncountBits(b int32) {
+	l.bitHist[b]--
+	for n := len(l.bitHist); n > 0 && l.bitHist[n-1] == 0; n-- {
+		l.bitHist = l.bitHist[:n-1]
+	}
 }
 
 // OrderOf returns n's global order number (root = 0). Requires TrackOrder.
@@ -588,6 +639,9 @@ func (l *Labeling) Check() error {
 	if len(l.labels) != len(xmltree.Elements(l.doc.Root)) {
 		return fmt.Errorf("prime: %d labels for %d elements", len(l.labels), len(xmltree.Elements(l.doc.Root)))
 	}
+	if err := l.checkMemos(); err != nil {
+		return err
+	}
 	if l.sct != nil {
 		if err := l.sct.Verify(); err != nil {
 			return err
@@ -614,6 +668,39 @@ func (l *Labeling) Check() error {
 		})
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkMemos audits the state kept beside the labels: the bit-length
+// histogram against a recount of every label (which also checks
+// MaxLabelBits against the brute-force maximum), and every memoized
+// decimal string against label.String().
+func (l *Labeling) checkMemos() error {
+	var want []int
+	for n, nl := range l.labels {
+		b := nl.label.BitLen()
+		if int(nl.bits) != b {
+			return fmt.Errorf("prime: %s caches %d label bits, has %d", xmltree.PathTo(n), nl.bits, b)
+		}
+		for len(want) <= b {
+			want = append(want, 0)
+		}
+		want[b]++
+		if p := nl.str.Load(); p != nil && *p != nl.label.String() {
+			return fmt.Errorf("prime: %s memoizes label %q, has %v", xmltree.PathTo(n), *p, nl.label)
+		}
+	}
+	for len(want) > 0 && want[len(want)-1] == 0 {
+		want = want[:len(want)-1]
+	}
+	if len(want) != len(l.bitHist) {
+		return fmt.Errorf("prime: max label bits %d, brute force %d", l.MaxLabelBits(), max(len(want)-1, 0))
+	}
+	for b := range want {
+		if want[b] != l.bitHist[b] {
+			return fmt.Errorf("prime: %d labels of %d bits, histogram has %d", want[b], b, l.bitHist[b])
 		}
 	}
 	return nil

@@ -41,6 +41,9 @@ const (
 	planOrderScan = "order-scan"
 	// planSiblingIndex is the parent-grouped sibling join.
 	planSiblingIndex = "sibling-index"
+	// planSiblingChain walks the next-sibling chain through the extent
+	// column (ordered tables only).
+	planSiblingChain = "sibling-chain"
 )
 
 // tinyJoinWork is the (outer × inner) pair count below which the Extent
@@ -228,6 +231,59 @@ func (t *Table) rangeJoin(ctx, cands RowSet, following bool) Pairs {
 		}
 	}
 	return out
+}
+
+// siblingChain answers following-sibling and preceding-sibling from the
+// structural columns. The row after a subtree's run, extent[r]+1, is r's
+// next sibling exactly when it sits at r's depth (a shallower row means the
+// parent's run ended), so a sibling list is the chain r → extent[r]+1.
+// following walks the chain from c's next sibling to its end; preceding
+// walks it from the parent's first child up to c. Candidate membership is a
+// galloping cursor over cands, so a context row costs its sibling run plus
+// a logarithm of the candidates it skips — never the sibling list squared —
+// and the pairs come out context-major with inner rows ascending, the order
+// siblingJoin emits. Only valid when the table is ordered, for the same
+// error-parity reason as rangeJoin.
+func (t *Table) siblingChain(ctx, cands RowSet, following bool) Pairs {
+	out := make(Pairs, 0, len(ctx))
+	k := 0 // cursor at the previous context's first chain row
+	for _, c := range ctx {
+		r, stop := t.extent[c]+1, len(t.nodes)
+		if !following {
+			p, ok := t.rowOf[t.nodes[c].Parent]
+			if !ok {
+				continue // the root has no siblings
+			}
+			r, stop = p+1, c
+		}
+		if k > 0 && cands[k-1] >= r {
+			k = 0
+		}
+		k = gallop(cands, k, r)
+		for j := k; r < stop && t.depth[r] == t.depth[c]; r = t.extent[r] + 1 {
+			if j = gallop(cands, j, r); j < len(cands) && cands[j] == r {
+				out = append(out, Pair{Out: c, In: r})
+				j++
+			}
+		}
+	}
+	return out
+}
+
+// gallop returns the first index at or after j whose row is >= r, given
+// that every row before j is < r: an exponential then binary search, so a
+// skip of s rows costs O(log s) and no skip costs one comparison.
+func gallop(rows RowSet, j, r int) int {
+	if j >= len(rows) || rows[j] >= r {
+		return j
+	}
+	lo, step := j, 1 // rows[lo] < r
+	for lo+step < len(rows) && rows[lo+step] < r {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(rows))
+	return lo + 1 + sort.SearchInts(rows[lo+1:hi], r)
 }
 
 // Depth returns row id's element-tree depth (root = 0).

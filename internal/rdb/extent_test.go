@@ -28,6 +28,9 @@ var axisQueries = []string{
 	"//line/preceding::speaker",
 	"//scene/following-sibling::scene",
 	"//speech/preceding-sibling::speech",
+	"//speech/following-sibling::speech[3]",
+	"//scene//preceding-sibling::scene[2]",
+	"//act/preceding-sibling::act[1]",
 }
 
 // TestExtentColumnsMatchTreeTruth pins Depth and Extent against values
@@ -145,6 +148,13 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	if last.JoinPlan != planExtentRange {
 		t.Fatalf("following axis join plan = %s, want %s", last.JoinPlan, planExtentRange)
 	}
+	if _, _, err := ext.ExecPathStringExplain("//speech/following-sibling::speech[3]", &ex); err != nil {
+		t.Fatal(err)
+	}
+	last = ex.Steps[len(ex.Steps)-1]
+	if last.JoinPlan != planSiblingChain {
+		t.Fatalf("following-sibling join plan = %s, want %s", last.JoinPlan, planSiblingChain)
+	}
 }
 
 // TestDescendantCoverMatchesProjection holds the semi-join to the full
@@ -177,9 +187,10 @@ func TestDescendantCoverMatchesProjection(t *testing.T) {
 	}
 }
 
-// TestExtentOrderAxesNeedWarm pins the rangeJoin gate: an unwarmed table
-// (ordered unknown) and a labeling without order tracking must both take
-// the order-scan path, so order-axis errors surface exactly as before.
+// TestExtentOrderAxesNeedWarm pins the rangeJoin and siblingChain gate: a
+// labeling without order tracking leaves the warmed table unordered, so
+// following/preceding take the order-scan path and the sibling axes the
+// sibling-index path, and their errors surface exactly as before.
 func TestExtentOrderAxesNeedWarm(t *testing.T) {
 	doc := datasets.Play(5, 2, 60)
 	lab, err := (prime.Scheme{}).Label(doc) // no TrackOrder
@@ -190,13 +201,19 @@ func TestExtentOrderAxesNeedWarm(t *testing.T) {
 	ext := Build(lab)
 	ext.Plan = Extent
 	ext.Warm() // warms, but no row gets a rank: ordered stays false
-	_, wantErr := nl.ExecPathString("//speech/following::line")
-	_, gotErr := ext.ExecPathString("//speech/following::line")
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("order-axis error parity broken: oracle err=%v, extent err=%v", wantErr, gotErr)
-	}
-	if wantErr == nil {
-		t.Fatal("expected an order-unsupported error from a scheme without order tracking")
+	for _, q := range []string{
+		"//speech/following::line",
+		"//speech/following-sibling::speech[3]",
+		"//act/preceding-sibling::act[1]",
+	} {
+		_, wantErr := nl.ExecPathString(q)
+		_, gotErr := ext.ExecPathString(q)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: order-axis error parity broken: oracle err=%v, extent err=%v", q, wantErr, gotErr)
+		}
+		if wantErr == nil {
+			t.Fatalf("%s: expected an order-unsupported error from a scheme without order tracking", q)
+		}
 	}
 }
 

@@ -707,11 +707,12 @@ func (t *Table) joinStep(ctx, cands RowSet, step xpath.Step, stats *ExecStats) (
 			return before && !t.lab.IsAncestor(n, c), nil
 		}, stats)
 		return ps, planOrderScan, err
-	case xpath.AxisFollowingSibling:
-		ps, err := t.siblingJoin(ctx, cands, true)
-		return ps, planSiblingIndex, err
-	case xpath.AxisPrecedingSibling:
-		ps, err := t.siblingJoin(ctx, cands, false)
+	case xpath.AxisFollowingSibling, xpath.AxisPrecedingSibling:
+		following := step.Axis == xpath.AxisFollowingSibling
+		if t.Plan == Extent && t.ordered {
+			return t.siblingChain(ctx, cands, following), planSiblingChain, nil
+		}
+		ps, err := t.siblingJoin(ctx, cands, following)
 		return ps, planSiblingIndex, err
 	default:
 		return nil, "", fmt.Errorf("rdb: unsupported axis %v", step.Axis)
@@ -769,7 +770,24 @@ func (t *Table) siblingJoin(ctx, cands RowSet, following bool) (Pairs, error) {
 
 // nthPerOuter keeps, for each outer row, its n-th inner row in ascending
 // (document) order — the positional predicate over a context node set.
+// Pairs already sorted by (Out, In), which every join operator emits for an
+// ascending context, take one linear pass over the groups; any other order
+// is grouped through a map, outers in first-appearance order.
 func nthPerOuter(ps Pairs, n int) Pairs {
+	if sortedPairs(ps) {
+		var out Pairs
+		for i := 0; i < len(ps); {
+			j := i + 1
+			for j < len(ps) && ps[j].Out == ps[i].Out {
+				j++
+			}
+			if n <= j-i {
+				out = append(out, ps[i+n-1])
+			}
+			i = j
+		}
+		return out
+	}
 	byOuter := make(map[int][]int)
 	var outerOrder []int
 	for _, p := range ps {
@@ -787,6 +805,17 @@ func nthPerOuter(ps Pairs, n int) Pairs {
 		}
 	}
 	return out
+}
+
+// sortedPairs reports whether ps is strictly ascending by (Out, In).
+func sortedPairs(ps Pairs) bool {
+	for k := 1; k < len(ps); k++ {
+		a, b := ps[k-1], ps[k]
+		if a.Out > b.Out || (a.Out == b.Out && a.In >= b.In) {
+			return false
+		}
+	}
+	return true
 }
 
 // ExecPathString parses and executes a query.

@@ -213,7 +213,7 @@ type ExplainStep struct {
 	// JoinPlan is the physical operator the per-step planner chose: "scan"
 	// for the document-context first step, then "nested-loop",
 	// "extent-probe", "extent-merge", "extent-range", "stack-merge",
-	// "order-scan", or "sibling-index".
+	// "order-scan", "sibling-chain", or "sibling-index".
 	JoinPlan string `json:"join_plan,omitempty"`
 }
 

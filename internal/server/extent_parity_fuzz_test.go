@@ -22,6 +22,9 @@ var extentParityQueries = []string{
 	"//shelf//following::book",
 	"//book//preceding::shelf",
 	"//book/following-sibling::book",
+	"//book/following-sibling::book[3]",
+	"//shelf//preceding-sibling::shelf[2]",
+	"//shelf/preceding-sibling::shelf[1]",
 }
 
 func FuzzExtentJoinParity(f *testing.F) {

@@ -603,7 +603,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	endEncode := trace.Start(r.Context(), trace.StageEncode)
+	bp := bodyPool.Get().(*[]byte)
+	defer putBody(bp)
+	body, err := api.AppendQueryResponse((*bp)[:0], resp)
+	*bp = body
+	endEncode()
+	if err != nil {
+		writeError(w, fmt.Errorf("encode query response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone
+}
+
+// bodyPool recycles /query response buffers. Every response passes through
+// http.TimeoutHandler, which copies the body into its own buffer, so a
+// fresh buffer per request would double the allocation of large answers.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody caps the buffers bodyPool keeps, so one outsized answer
+// does not stay resident.
+const maxPooledBody = 4 << 20
+
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 // explainParam reads the ?explain=1 query flag.
@@ -629,6 +656,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
+	var buf []byte
 	wrote := false
 	emit := func(v any) error {
 		if !wrote {
@@ -636,7 +664,15 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		if err := enc.Encode(v); err != nil {
+		if c, ok := v.(api.StreamChunk); ok {
+			var err error
+			if buf, err = api.AppendStreamChunk(buf[:0], &c); err != nil {
+				return err
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		} else if err := enc.Encode(v); err != nil {
 			return err
 		}
 		return rc.Flush()

@@ -511,20 +511,13 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		})
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	endMat := trace.Start(ctx, trace.StageMaterialize)
 	resp := &api.QueryResponse{
 		Generation: d.gen,
 		Count:      len(rows),
-		Nodes:      make([]api.NodeRef, len(rows)),
+		Nodes:      d.newMaterializer().nodes(rows),
 	}
-	for i, id := range rows {
-		n := d.table.Node(id)
-		resp.Nodes[i] = api.NodeRef{
-			ID:    id,
-			Path:  xmltree.PathTo(n),
-			Label: labelString(d.lab, n),
-			Text:  n.Text(),
-		}
-	}
+	endMat()
 	d.cache.put(query, d.gen, resp)
 
 	// Build the planner-summary profile on every miss (the query-stats
@@ -1045,12 +1038,105 @@ func rawChildIndex(parent *xmltree.Node, elemIdx int) int {
 	return len(parent.Children)
 }
 
+// materializer turns result rows into node refs under the caller-held
+// document read lock. A full query uses one per miss; a stream keeps one
+// across its chunks.
+type materializer struct {
+	d *document
+	// chain is the last row's parent and its ancestors with their tag
+	// paths, root first (chain[i] is at depth i). Rows arrive in document
+	// order, so the next row usually shares the whole chain and otherwise
+	// most of it: only the links it does not share are re-derived.
+	chain []chainLink
+	// up is scratch for enter.
+	up []*xmltree.Node
+	// paths interns tag paths by parent path and tag. A document has few
+	// distinct tag paths, so rows share path strings instead of each
+	// allocating its own.
+	paths map[pathKey]string
+}
+
+type chainLink struct {
+	node *xmltree.Node
+	path string
+}
+
+type pathKey struct{ parent, name string }
+
+func (d *document) newMaterializer() *materializer {
+	return &materializer{d: d, paths: make(map[pathKey]string)}
+}
+
+// nodes materializes rows in order; nil for an empty row set.
+func (m *materializer) nodes(rows rdb.RowSet) []api.NodeRef {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]api.NodeRef, len(rows))
+	for i, id := range rows {
+		n := m.d.table.Node(id)
+		out[i] = api.NodeRef{
+			ID:    id,
+			Path:  m.rowPath(n),
+			Label: labelString(m.d.lab, n),
+			Text:  n.Text(),
+		}
+	}
+	return out
+}
+
+// rowPath returns xmltree.PathTo(n) through the memo.
+func (m *materializer) rowPath(n *xmltree.Node) string {
+	p := n.Parent
+	if p == nil {
+		return n.Name
+	}
+	if k := len(m.chain); k == 0 || m.chain[k-1].node != p {
+		m.enter(p)
+	}
+	return m.child(m.chain[len(m.chain)-1].path, n.Name)
+}
+
+// enter makes p the chain's last link, keeping the links of the ancestors
+// it shares with the current chain.
+func (m *materializer) enter(p *xmltree.Node) {
+	m.up = m.up[:0]
+	for a := p; a != nil; a = a.Parent {
+		m.up = append(m.up, a)
+	}
+	top := len(m.up) - 1 // m.up[top-i] is p's ancestor at depth i
+	i := 0
+	for i < len(m.chain) && i <= top && m.chain[i].node == m.up[top-i] {
+		i++
+	}
+	m.chain = m.chain[:i]
+	for ; i <= top; i++ {
+		a := m.up[top-i]
+		path := a.Name
+		if i > 0 {
+			path = m.child(m.chain[i-1].path, a.Name)
+		}
+		m.chain = append(m.chain, chainLink{node: a, path: path})
+	}
+}
+
+// child returns the interned path parent + "/" + name.
+func (m *materializer) child(parent, name string) string {
+	k := pathKey{parent, name}
+	s, ok := m.paths[k]
+	if !ok {
+		s = parent + "/" + name
+		m.paths[k] = s
+	}
+	return s
+}
+
 // labelString renders a node's label in scheme-specific human-readable
 // form, mirroring primelabel.Document.Label.
 func labelString(lab labeling.Labeling, n *xmltree.Node) string {
 	switch l := lab.(type) {
 	case *prime.Labeling:
-		return l.LabelOf(n).String()
+		return l.LabelString(n)
 	case *prime.BottomUpLabeling:
 		return l.LabelOf(n).String()
 	case *prime.DecomposedLabeling:

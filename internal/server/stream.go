@@ -17,7 +17,6 @@ import (
 	"primelabel/internal/server/api"
 	"primelabel/internal/server/querystats"
 	"primelabel/internal/server/trace"
-	"primelabel/internal/xmltree"
 )
 
 // countCacheKey is the query-cache slot for a query's materialization-free
@@ -247,6 +246,7 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 	finishFirst()
 
 	endWrite := trace.Start(ctx, trace.StageStreamWrite)
+	mat := d.newMaterializer()
 	for base := 0; base < count; base += streamChunkSize {
 		end := base + streamChunkSize
 		if end > count {
@@ -256,16 +256,7 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 		if hit {
 			nodes = cached.Nodes[base:end]
 		} else {
-			nodes = make([]api.NodeRef, end-base)
-			for i, id := range rows[base:end] {
-				n := d.table.Node(id)
-				nodes[i] = api.NodeRef{
-					ID:    id,
-					Path:  xmltree.PathTo(n),
-					Label: labelString(d.lab, n),
-					Text:  n.Text(),
-				}
-			}
+			nodes = mat.nodes(rows[base:end])
 		}
 		if err := emit(api.StreamChunk{Nodes: nodes}); err != nil {
 			endWrite()

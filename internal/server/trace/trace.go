@@ -34,6 +34,13 @@ const (
 	StageCacheLookup = "cache_lookup"
 	// StageXPathEval is XPath-subset evaluation against the element table.
 	StageXPathEval = "xpath_eval"
+	// StageMaterialize is a full query miss turning result rows into node
+	// refs (paths, labels, text). Streamed queries materialize inside
+	// stream_write instead.
+	StageMaterialize = "materialize"
+	// StageEncode is building a query response body in JSON, for cache
+	// hits and misses alike.
+	StageEncode = "encode"
 	// StageQueryFanout is the portion of XPath evaluation spent inside
 	// sharded (parallel) join scans — a subset of xpath_eval's wall time,
 	// recorded from the executor's fan-out stats.
@@ -96,7 +103,7 @@ const (
 // metric registry builds one histogram per entry at startup.
 var Stages = []string{
 	StageLockWait, StageCacheLookup, StageXPathEval, StageQueryFanout,
-	StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
+	StageMaterialize, StageEncode, StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
 	StageReindex, StageCodecEncode, StageSnapshotWrite, StageJournalAppend,
 	StageJournalGroupWait, StageJournalFsync, StageReplicaStream,
 	StageReplicaApply, StageFreezeRelabel, StageThaw,

@@ -267,3 +267,44 @@ func grepLines(s, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestQueryTraceMaterializeEncode pins the read path's stage coverage: a
+// cache miss records materialize (node refs built from rows) and encode
+// (the response body), while a hit skips materialization and records only
+// encode.
+func TestQueryTraceMaterializeEncode(t *testing.T) {
+	_, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
+	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id          string
+		materialize bool
+	}{{"query-miss", true}, {"query-hit", false}} {
+		resp, err := c.WithTraceID(tc.id).Query("books", "//book")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached == tc.materialize {
+			t.Fatalf("%s: cached = %v", tc.id, resp.Cached)
+		}
+		dump, err := c.Traces("query", "books", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := map[string]int{}
+		for _, tr := range dump.Traces {
+			if tr.ID == tc.id {
+				for _, sp := range tr.Spans {
+					stages[sp.Stage]++
+				}
+			}
+		}
+		if stages[trace.StageEncode] != 1 {
+			t.Errorf("%s: %d encode spans, want 1; have %v", tc.id, stages[trace.StageEncode], stages)
+		}
+		if got := stages[trace.StageMaterialize] == 1; got != tc.materialize {
+			t.Errorf("%s: materialize span present = %v, want %v; have %v", tc.id, got, tc.materialize, stages)
+		}
+	}
+}
