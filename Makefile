@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race fuzz verify e2e-replica e2e-cluster bench-update bench-query clean
+.PHONY: build vet lint test race fuzz verify e2e-replica e2e-cluster bench-update bench-query bench-e2e clean
 
 build:
 	$(GO) build ./...
@@ -77,7 +77,23 @@ bench-update:
 bench-query:
 	BENCH_QUERY_JSON=$(CURDIR)/BENCH_query.json QUERYSTATS_JSON=$(CURDIR)/BENCH_querystats.json $(GO) test ./internal/server -run '^TestQueryBenchReport$$' -v -timeout 900s
 
+# bench-e2e runs labelbench (labeld over loopback HTTP, the paper's Table 2
+# queries) on the gated workloads table2-cold and table2-hot, seeds 1 and 2,
+# twice each: plain for the end-to-end figures, traced for the per-layer
+# split. BENCH_e2e.json is a JSON array of {workload, seed, end_to_end,
+# per_layer}, the last two being labelbench's final JSON lines. Same
+# non-gating policy as bench-update; the gate itself is BENCHMARK.json.
+bench-e2e:
+	@set -e; out=BENCH_e2e.json.tmp; sep='['; : > $$out; \
+	for w in table2-cold table2-hot; do for seed in 1 2; do \
+		e2e=$$(bash labelbench/run.sh --workload $$w --seed $$seed --seconds 15 --trace 0); \
+		layers=$$(bash labelbench/run.sh --workload $$w --seed $$seed --seconds 15 --trace 1); \
+		printf '%s\n{"workload":"%s","seed":%s,"end_to_end":%s,"per_layer":%s}' "$$sep" $$w $$seed \
+			"$$(printf '%s\n' "$$e2e" | tail -n 1)" "$$(printf '%s\n' "$$layers" | tail -n 1)" >> $$out; \
+		sep=','; \
+	done; done; printf '\n]\n' >> $$out; mv $$out BENCH_e2e.json
+
 # clean removes build products and stray test data directories.
 clean:
 	$(GO) clean ./...
-	rm -rf cmd/labeld/testdata/data internal/server/persist/testdata/fuzz.tmp cluster-e2e
+	rm -rf cmd/labeld/testdata/data internal/server/persist/testdata/fuzz.tmp cluster-e2e .bench_build BENCH_e2e.json BENCH_e2e.json.tmp

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -324,40 +325,49 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Handler builds the routed, instrumented HTTP handler. Every endpoint is
 // wrapped with tracing (X-Trace-Id honor/generate/echo, span collection,
-// slow-request logging), latency/error accounting, and the request timeout.
+// slow-request logging) and latency/error accounting. Quick endpoints run
+// under http.TimeoutHandler inside that wrapper, so a request that overruns
+// Config.RequestTimeout is recorded as the 503 it answered; /query keeps
+// the same deadline itself (handleQuery).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.handleTraces))
-	mux.HandleFunc("GET /debug/querystats", s.instrument("querystats", s.handleQueryStats))
-	mux.HandleFunc("GET /docs", s.instrument("list", s.handleList))
-	mux.HandleFunc("PUT /docs/{name}", s.instrument("load", s.handleLoad))
-	mux.HandleFunc("GET /docs/{name}", s.instrument("get", s.handleInfo))
-	mux.HandleFunc("DELETE /docs/{name}", s.instrument("delete", s.handleDelete))
+	timed := func(pattern, endpoint string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, s.instrument(endpoint, http.TimeoutHandler(h, s.cfg.RequestTimeout, timeoutBody).ServeHTTP))
+	}
+	timed("GET /healthz", "healthz", s.handleHealthz)
+	timed("GET /metrics", "metrics", s.handleMetrics)
+	timed("GET /debug/traces", "traces", s.handleTraces)
+	timed("GET /debug/querystats", "querystats", s.handleQueryStats)
+	timed("GET /docs", "list", s.handleList)
+	timed("PUT /docs/{name}", "load", s.handleLoad)
+	timed("GET /docs/{name}", "get", s.handleInfo)
+	timed("DELETE /docs/{name}", "delete", s.handleDelete)
+	timed("POST /docs/{name}/relation", "relation", s.handleRelation)
+	timed("POST /docs/{name}/update", "update", s.handleUpdate)
+	timed("POST /docs/{name}/update/batch", "update_batch", s.handleUpdateBatch)
+	timed("POST /promote", "promote", s.handlePromote)
+	timed("GET /topology", "topology", s.handleTopology)
+	// TimeoutHandler buffers a whole response and copies it before writing;
+	// a /query body can run to hundreds of KiB, so /query enforces the
+	// deadline without it.
 	mux.HandleFunc("POST /docs/{name}/query", s.instrument("query", s.handleQuery))
-	mux.HandleFunc("POST /docs/{name}/relation", s.instrument("relation", s.handleRelation))
-	mux.HandleFunc("POST /docs/{name}/update", s.instrument("update", s.handleUpdate))
-	mux.HandleFunc("POST /docs/{name}/update/batch", s.instrument("update_batch", s.handleUpdateBatch))
-	mux.HandleFunc("POST /promote", s.instrument("promote", s.handlePromote))
-	mux.HandleFunc("GET /topology", s.instrument("topology", s.handleTopology))
-	timeoutBody, _ := json.Marshal(api.Error{Error: "request timed out"})
-	timed := http.TimeoutHandler(mux, s.cfg.RequestTimeout, string(timeoutBody))
-	// Replication streams live outside the timeout wrapper: they are meant
-	// to run for hours, and TimeoutHandler would both buffer their writes
-	// and kill them at the request deadline. Shutdown ends them via
-	// streamCtx instead. The digest probe rides next to them (more specific
-	// pattern wins) — it is a quick request, but belongs with replication.
-	outer := http.NewServeMux()
-	outer.HandleFunc("GET /replicate/{name}", s.instrument("replicate", s.handleReplicate))
-	outer.HandleFunc("GET /replicate/{name}/digest", s.instrument("replicate_digest", s.handleReplicateDigest))
-	// The streaming query endpoint also bypasses the timeout wrapper:
-	// TimeoutHandler buffers the whole response, which would hold every
-	// chunk until the handler returned — the opposite of streaming.
-	outer.HandleFunc("POST /docs/{name}/query/stream", s.instrument("query_stream", s.handleQueryStream))
-	outer.Handle("/", timed)
-	return outer
+	// Replication streams run without a deadline: they are meant to run for
+	// hours, and TimeoutHandler would both buffer their writes and kill them
+	// at the request deadline. Shutdown ends them via streamCtx instead. The
+	// digest probe rides next to them — it is a quick request, but belongs
+	// with replication.
+	mux.HandleFunc("GET /replicate/{name}", s.instrument("replicate", s.handleReplicate))
+	mux.HandleFunc("GET /replicate/{name}/digest", s.instrument("replicate_digest", s.handleReplicateDigest))
+	// The streaming query endpoint has no deadline either: buffering would
+	// hold every chunk until the handler returned — the opposite of
+	// streaming.
+	mux.HandleFunc("POST /docs/{name}/query/stream", s.instrument("query_stream", s.handleQueryStream))
+	return mux
 }
+
+// timeoutBody is the 503 body of a request that overran
+// Config.RequestTimeout, on /query and behind http.TimeoutHandler alike.
+const timeoutBody = `{"error":"request timed out"}`
 
 // handleTopology serves GET /topology: the cluster manager's current view of
 // the fabric. 400 on a server that is not a cluster member.
@@ -478,15 +488,24 @@ func spanAttrs(spans []trace.Span) string {
 // requests, so the cap is generous.
 const maxBodyBytes = 64 << 20
 
-// readJSON decodes a request body into v.
+// readJSON decodes a request body into v, answering 400 when it cannot.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, fmt.Errorf("%w: invalid JSON body: %v", ErrBadRequest, err))
+	if err := decodeJSON(w, r, v); err != nil {
+		writeError(w, err)
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes a request body into v. w is only used to cap the
+// body at maxBodyBytes.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: invalid JSON body: %v", ErrBadRequest, err)
+	}
+	return nil
 }
 
 // writeJSON writes a JSON response.
@@ -590,37 +609,112 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleQuery serves POST /docs/{name}/query under Config.RequestTimeout,
+// with TimeoutHandler's contract but without its response buffer. A worker
+// goroutine decodes the request, runs the query and builds the body under
+// the deadline; the handler then writes the body once, with its length. At
+// the deadline the handler answers 503 with timeoutBody, while the query
+// runs on to completion and its worker returns the pooled buffer nobody
+// read. A panic in the worker is re-raised here.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.QueryRequest
-	if !readJSON(w, r, &req) {
-		return
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	answers := make(chan queryAnswer)
+	go s.answerQuery(ctx, w, r, answers)
+	select {
+	case a := <-answers:
+		if a.panic != nil {
+			panic(a.panic)
+		}
+		defer a.release()
+		if a.err != nil {
+			writeError(w, a.err)
+			return
+		}
+		endWrite := trace.Start(ctx, trace.StageWrite)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(a.body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(a.body) // a failed write means the client is gone
+		endWrite()
+	case <-ctx.Done():
+		w.WriteHeader(http.StatusServiceUnavailable)
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			_, _ = io.WriteString(w, timeoutBody)
+		}
 	}
-	// Explain rides on a URL parameter rather than a body field so the body
-	// schema (and the DisallowUnknownFields contract) stays unchanged:
-	// ?explain=1 returns the same nodes plus an execution profile.
-	resp, err := s.store.QueryMode(r.Context(), r.PathValue("name"), req.XPath, req.Mode, explainParam(r))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	endEncode := trace.Start(r.Context(), trace.StageEncode)
-	bp := bodyPool.Get().(*[]byte)
-	defer putBody(bp)
-	body, err := api.AppendQueryResponse((*bp)[:0], resp)
-	*bp = body
-	endEncode()
-	if err != nil {
-		writeError(w, fmt.Errorf("encode query response: %w", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body) // a failed write means the client is gone
 }
 
-// bodyPool recycles /query response buffers. Every response passes through
-// http.TimeoutHandler, which copies the body into its own buffer, so a
-// fresh buffer per request would double the allocation of large answers.
+// queryAnswer is a /query worker's outcome.
+type queryAnswer struct {
+	body  []byte
+	buf   *[]byte // pooled buffer holding body; nil when body is a cache entry's
+	err   error
+	panic any
+}
+
+func (a *queryAnswer) release() {
+	if a.buf != nil {
+		putBody(a.buf)
+	}
+}
+
+// answerQuery is handleQuery's worker: it hands its answer to out, or
+// releases it once ctx is done and the handler has stopped listening.
+func (s *Server) answerQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, out chan<- queryAnswer) {
+	var a queryAnswer
+	defer func() {
+		if p := recover(); p != nil {
+			a = queryAnswer{panic: p}
+		}
+		select {
+		case out <- a:
+		case <-ctx.Done():
+			a.release()
+			if a.panic != nil {
+				s.logger.Error("query panicked after its deadline", "trace_id", trace.ID(ctx), "panic", a.panic)
+			}
+		}
+	}()
+	endDecode := trace.Start(ctx, trace.StageDecode)
+	var req api.QueryRequest
+	a.err = decodeJSON(w, r, &req)
+	endDecode()
+	if a.err == nil {
+		a.body, a.buf, a.err = s.queryBody(ctx, r.PathValue("name"), req, explainParam(r))
+	}
+}
+
+// queryBody runs a /query request and returns its JSON body. A nodes-mode
+// cache hit without explain answers with the entry's memoized bytes (buf
+// nil); any other answer is encoded into a pooled buffer returned in buf.
+func (s *Server) queryBody(ctx context.Context, name string, req api.QueryRequest, explain bool) (body []byte, buf *[]byte, err error) {
+	resp, hit, err := s.store.queryMode(ctx, name, req.XPath, req.Mode, explain)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case hit != nil:
+		body, err = hit.hitBody(ctx)
+	default:
+		endEncode := trace.Start(ctx, trace.StageEncode)
+		buf = bodyPool.Get().(*[]byte)
+		body, err = api.AppendQueryResponse((*buf)[:0], resp)
+		*buf = body
+		endEncode()
+		if err != nil {
+			putBody(buf)
+			buf = nil
+		}
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("encode query response: %w", err)
+	}
+	return body, buf, nil
+}
+
+// bodyPool recycles /query response buffers, so a miss does not allocate
+// its body afresh; cache hits answer from their entry's own bytes.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody caps the buffers bodyPool keeps, so one outsized answer
@@ -633,7 +727,9 @@ func putBody(bp *[]byte) {
 	}
 }
 
-// explainParam reads the ?explain=1 query flag.
+// explainParam reads the ?explain=1 query flag. Explain rides on a URL
+// parameter rather than a body field so the body schema (and the
+// DisallowUnknownFields contract) stays unchanged.
 func explainParam(r *http.Request) bool {
 	v := r.URL.Query().Get("explain")
 	return v == "1" || v == "true"

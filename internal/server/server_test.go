@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -379,5 +385,90 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := c.Healthz(); err == nil {
 		t.Fatal("server still serving after shutdown")
+	}
+}
+
+// TestQueryHitBody drives /query over HTTP through a miss, the first hit
+// (which fills the cache entry's body memo) and a memo hit, and checks what
+// each answers: the hit body is the entry's response encoded with Cached
+// set, identical on every hit, with a matching Content-Length. Count and
+// exists answers from the full entry and explain hits are unaffected, and
+// after an update the new generation's bytes are served, never the old.
+func TestQueryHitBody(t *testing.T) {
+	srv, err := New(Config{RequestTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Store().Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := srv.Store().Load(context.Background(), "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: %d %q %v", path, body, resp.StatusCode, b, err)
+		}
+		if cl := resp.Header.Get("Content-Length"); path == "/docs/books/query" && cl != strconv.Itoa(len(b)) {
+			t.Fatalf("Content-Length = %q for a %d-byte body", cl, len(b))
+		}
+		return b
+	}
+	const q = `{"xpath":"//book"}`
+	miss := post("/docs/books/query", q)
+	hit := post("/docs/books/query", q)
+	if again := post("/docs/books/query", q); !bytes.Equal(again, hit) {
+		t.Fatalf("memo hit %q differs from first hit %q", again, hit)
+	}
+	if want := bytes.Replace(miss, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(hit, want) {
+		t.Fatalf("hit body %q, want the miss body marked cached %q", hit, want)
+	}
+	d, err := srv.store.get("books")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, ok := d.cache.get("//book", 0)
+	if !ok || ent.body.Load() == nil {
+		t.Fatal("first hit did not fill the entry's body")
+	}
+	want, err := api.AppendQueryResponse(nil, ent.hitResponse())
+	if err != nil || !bytes.Equal(hit, want) {
+		t.Fatalf("hit body %q, want AppendQueryResponse of the entry %q", hit, want)
+	}
+
+	if got := string(post("/docs/books/query", `{"xpath":"//book","mode":"count"}`)); got != "{\"generation\":0,\"count\":3,\"cached\":true}\n" {
+		t.Fatalf("count from the full entry = %q", got)
+	}
+	if got := string(post("/docs/books/query", `{"xpath":"//book","mode":"exists"}`)); got != "{\"generation\":0,\"count\":3,\"cached\":true,\"exists\":true}\n" {
+		t.Fatalf("exists from the full entry = %q", got)
+	}
+	var explained, plain api.QueryResponse
+	if err := json.Unmarshal(post("/docs/books/query?explain=1", q), &explained); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(hit, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if explained.Explain == nil || !explained.Explain.CacheHit || !explained.Cached ||
+		!reflect.DeepEqual(explained.Nodes, plain.Nodes) || explained.Generation != plain.Generation {
+		t.Fatalf("explain hit = %+v, want the hit's nodes plus a cache-hit profile", explained)
+	}
+
+	post("/docs/books/update", `{"op":"insert","parent":1,"index":0,"tag":"book"}`)
+	for i, wantCached := range []bool{false, true, true} {
+		var r api.QueryResponse
+		if err := json.Unmarshal(post("/docs/books/query", q), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Generation != 1 || r.Count != 4 || r.Cached != wantCached {
+			t.Fatalf("query %d after the update: generation %d, count %d, cached %v", i, r.Generation, r.Count, r.Cached)
+		}
 	}
 }

@@ -423,7 +423,7 @@ func (d *document) info() api.DocInfo {
 // across workers. Every call is also folded into the query-stats registry
 // under the query's normalized shape.
 func (s *Store) Query(ctx context.Context, name, query string) (*api.QueryResponse, error) {
-	return s.query(ctx, name, query, false)
+	return s.QueryMode(ctx, name, query, api.QueryModeNodes, false)
 }
 
 // QueryExplain is Query with profiling: the response additionally carries a
@@ -432,17 +432,19 @@ func (s *Store) Query(ctx context.Context, name, query string) (*api.QueryRespon
 // deltas on prime-backed documents, label-bit stats, and the request's
 // per-stage timings. The node set is exactly what Query would return.
 func (s *Store) QueryExplain(ctx context.Context, name, query string) (*api.QueryResponse, error) {
-	return s.query(ctx, name, query, true)
+	return s.QueryMode(ctx, name, query, api.QueryModeNodes, true)
 }
 
-// query is the shared body of Query and QueryExplain.
-func (s *Store) query(ctx context.Context, name, query string, explain bool) (*api.QueryResponse, error) {
+// query is the nodes-mode body of QueryMode. A cache hit without explain
+// returns the cache entry alone (resp nil), so /query can answer from the
+// entry's memoized body; every other outcome returns a response.
+func (s *Store) query(ctx context.Context, name, query string, explain bool) (*api.QueryResponse, *cacheEntry, error) {
 	if query == "" {
-		return nil, fmt.Errorf("%w: empty xpath", ErrBadRequest)
+		return nil, nil, fmt.Errorf("%w: empty xpath", ErrBadRequest)
 	}
 	d, err := s.get(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	s.metrics.queries.Add(1)
@@ -458,21 +460,21 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 	frozenServe := d.frozen != nil && d.frozenOrder
 	if ok {
 		s.metrics.cacheHits.Add(1)
-		resp := *cached
-		resp.Cached = true
-		if explain {
-			resp.Explain = &api.QueryExplain{
-				Shape:    s.querystats.ShapeOf(query),
-				CacheHit: true,
-				Backend:  d.backendName(frozenServe),
-				Stages:   explainStages(ctx),
-			}
-		}
 		s.querystats.Record(querystats.Sample{
 			Doc: name, Query: query, Latency: time.Since(start),
 			CacheHit: true, Frozen: frozenServe,
 		})
-		return &resp, nil
+		if !explain {
+			return nil, cached, nil
+		}
+		resp := cached.hitResponse()
+		resp.Explain = &api.QueryExplain{
+			Shape:    s.querystats.ShapeOf(query),
+			CacheHit: true,
+			Backend:  d.backendName(frozenServe),
+			Stages:   explainStages(ctx),
+		}
+		return resp, nil, nil
 	}
 	s.metrics.cacheMisses.Add(1)
 	table := d.table
@@ -509,7 +511,7 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 			Doc: name, Query: query, Latency: time.Since(start),
 			Frozen: frozenServe, Err: true,
 		})
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	endMat := trace.Start(ctx, trace.StageMaterialize)
 	resp := &api.QueryResponse{
@@ -546,9 +548,9 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		// this request's alone.
 		out := *resp
 		out.Explain = profile
-		return &out, nil
+		return &out, nil, nil
 	}
-	return resp, nil
+	return resp, nil, nil
 }
 
 // node resolves a document-order id under the caller-held lock.

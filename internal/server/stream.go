@@ -34,13 +34,24 @@ const streamChunkSize = 256
 // empty mode) behaves exactly like Query/QueryExplain, count and exists
 // skip node materialization entirely.
 func (s *Store) QueryMode(ctx context.Context, name, query, mode string, explain bool) (*api.QueryResponse, error) {
+	resp, hit, err := s.queryMode(ctx, name, query, mode, explain)
+	if hit != nil {
+		return hit.hitResponse(), nil
+	}
+	return resp, err
+}
+
+// queryMode is QueryMode, except that a nodes-mode cache hit without
+// explain returns its cache entry instead of a response (see query).
+func (s *Store) queryMode(ctx context.Context, name, query, mode string, explain bool) (*api.QueryResponse, *cacheEntry, error) {
 	switch mode {
 	case api.QueryModeNodes:
 		return s.query(ctx, name, query, explain)
 	case api.QueryModeCount, api.QueryModeExists:
-		return s.queryFast(ctx, name, query, mode, explain)
+		resp, err := s.queryFast(ctx, name, query, mode, explain)
+		return resp, nil, err
 	default:
-		return nil, fmt.Errorf("%w: unknown query mode %q", ErrBadRequest, mode)
+		return nil, nil, fmt.Errorf("%w: unknown query mode %q", ErrBadRequest, mode)
 	}
 }
 
@@ -85,7 +96,7 @@ func (s *Store) queryFast(ctx context.Context, name, query, mode string, explain
 	frozenServe := d.frozen != nil && d.frozenOrder
 	if ok {
 		s.metrics.cacheHits.Add(1)
-		resp := modeResponse(d.gen, cached.Count, mode)
+		resp := modeResponse(d.gen, cached.resp.Count, mode)
 		resp.Cached = true
 		if explain {
 			resp.Explain = &api.QueryExplain{
@@ -238,7 +249,7 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 	}
 	count := len(rows)
 	if hit {
-		count = cached.Count
+		count = cached.resp.Count
 	}
 	if err := emit(api.StreamHeader{Generation: d.gen, Count: count, Cached: hit}); err != nil {
 		return err
@@ -254,7 +265,7 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 		}
 		var nodes []api.NodeRef
 		if hit {
-			nodes = cached.Nodes[base:end]
+			nodes = cached.resp.Nodes[base:end]
 		} else {
 			nodes = mat.nodes(rows[base:end])
 		}

@@ -27,6 +27,8 @@ import (
 // labeld_stage_duration_seconds metric — the set is closed so the metric's
 // label cardinality is fixed at startup.
 const (
+	// StageDecode is reading and decoding a /query request body.
+	StageDecode = "decode"
 	// StageLockWait is time spent acquiring the document's mutex (either
 	// mode): lock contention, not work.
 	StageLockWait = "lock_wait"
@@ -38,9 +40,12 @@ const (
 	// refs (paths, labels, text). Streamed queries materialize inside
 	// stream_write instead.
 	StageMaterialize = "materialize"
-	// StageEncode is building a query response body in JSON, for cache
-	// hits and misses alike.
+	// StageEncode is building a query response body in JSON: on every
+	// miss, and on the first cache hit of an entry, which keeps the bytes
+	// for the hits after it.
 	StageEncode = "encode"
+	// StageWrite is handing a /query response body to the connection.
+	StageWrite = "write"
 	// StageQueryFanout is the portion of XPath evaluation spent inside
 	// sharded (parallel) join scans — a subset of xpath_eval's wall time,
 	// recorded from the executor's fan-out stats.
@@ -102,8 +107,8 @@ const (
 // Stages lists every stage name, in rough request order. The server's
 // metric registry builds one histogram per entry at startup.
 var Stages = []string{
-	StageLockWait, StageCacheLookup, StageXPathEval, StageQueryFanout,
-	StageMaterialize, StageEncode, StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
+	StageDecode, StageLockWait, StageCacheLookup, StageXPathEval, StageQueryFanout,
+	StageMaterialize, StageEncode, StageWrite, StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
 	StageReindex, StageCodecEncode, StageSnapshotWrite, StageJournalAppend,
 	StageJournalGroupWait, StageJournalFsync, StageReplicaStream,
 	StageReplicaApply, StageFreezeRelabel, StageThaw,
@@ -160,7 +165,10 @@ func (t *Trace) SetDoc(doc string) {
 }
 
 // StartSpan begins a timed stage and returns the function that ends it.
-// Nil-safe: on a nil trace the returned func is a no-op. Typical use:
+// A span that ends after Finish is dropped: work that outlives its request
+// (a /query held past its deadline, say) must not add spans the request's
+// metrics and logs never counted. Nil-safe: on a nil trace the returned
+// func is a no-op. Typical use:
 //
 //	defer tr.StartSpan(trace.StageXPathEval)()
 func (t *Trace) StartSpan(stage string) func() {
@@ -171,17 +179,19 @@ func (t *Trace) StartSpan(stage string) func() {
 	return func() {
 		end := time.Now()
 		t.mu.Lock()
-		t.spans = append(t.spans, Span{
-			Stage:    stage,
-			Offset:   start.Sub(t.Start),
-			Duration: end.Sub(start),
-		})
+		if !t.done {
+			t.spans = append(t.spans, Span{
+				Stage:    stage,
+				Offset:   start.Sub(t.Start),
+				Duration: end.Sub(start),
+			})
+		}
 		t.mu.Unlock()
 	}
 }
 
-// Finish seals the trace with the response status and total duration.
-// Idempotent; only the first call wins.
+// Finish seals the trace with the response status and total duration;
+// spans ending after it are dropped. Idempotent; only the first call wins.
 func (t *Trace) Finish(status int) {
 	if t == nil {
 		return
@@ -250,7 +260,7 @@ func Start(ctx context.Context, stage string) func() {
 }
 
 // Observe records an already-measured span on the trace carried by ctx (a
-// no-op when ctx has none, or when d <= 0). It exists for durations
+// no-op when ctx has none, when d <= 0, or after Finish). It exists for durations
 // measured by layers that do not know about tracing — the query
 // executor's fan-out time, for example — and are attributed to a stage
 // after the fact. The span's offset places its end at "now".
@@ -261,11 +271,13 @@ func Observe(ctx context.Context, stage string, d time.Duration) {
 	}
 	end := time.Now()
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{
-		Stage:    stage,
-		Offset:   end.Add(-d).Sub(t.Start),
-		Duration: d,
-	})
+	if !t.done {
+		t.spans = append(t.spans, Span{
+			Stage:    stage,
+			Offset:   end.Add(-d).Sub(t.Start),
+			Duration: d,
+		})
+	}
 	t.mu.Unlock()
 }
 

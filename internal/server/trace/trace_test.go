@@ -41,6 +41,22 @@ func TestSpansAndFinish(t *testing.T) {
 	}
 }
 
+// TestSpansAfterFinishDropped checks that a span ending after Finish, by
+// either StartSpan or Observe, does not reach the sealed trace.
+func TestSpansAfterFinishDropped(t *testing.T) {
+	tr := New("abc", "query")
+	ctx := NewContext(context.Background(), tr)
+	tr.StartSpan(StageDecode)()
+	late := tr.StartSpan(StageLockWait)
+	tr.Finish(503)
+	late()
+	Start(ctx, StageXPathEval)()
+	Observe(ctx, StageQueryFanout, time.Millisecond)
+	if spans := tr.Spans(); len(spans) != 1 || spans[0].Stage != StageDecode {
+		t.Fatalf("spans = %+v, want only the decode span recorded before Finish", spans)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.SetDoc("x")

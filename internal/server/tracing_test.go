@@ -270,8 +270,9 @@ func grepLines(s, substr string) string {
 
 // TestQueryTraceMaterializeEncode pins the read path's stage coverage: a
 // cache miss records materialize (node refs built from rows) and encode
-// (the response body), while a hit skips materialization and records only
-// encode.
+// (the response body), the first hit skips materialization and records
+// only encode (it fills the entry's body memo), and later hits record
+// neither. Every request records one decode and one write span.
 func TestQueryTraceMaterializeEncode(t *testing.T) {
 	_, c := startTracedServer(t, Config{RequestTimeout: 30 * time.Second})
 	if _, err := c.Load("books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
@@ -280,7 +281,8 @@ func TestQueryTraceMaterializeEncode(t *testing.T) {
 	for _, tc := range []struct {
 		id          string
 		materialize bool
-	}{{"query-miss", true}, {"query-hit", false}} {
+		encode      int
+	}{{"query-miss", true, 1}, {"query-hit", false, 1}, {"query-memo-hit", false, 0}} {
 		resp, err := c.WithTraceID(tc.id).Query("books", "//book")
 		if err != nil {
 			t.Fatal(err)
@@ -300,8 +302,11 @@ func TestQueryTraceMaterializeEncode(t *testing.T) {
 				}
 			}
 		}
-		if stages[trace.StageEncode] != 1 {
-			t.Errorf("%s: %d encode spans, want 1; have %v", tc.id, stages[trace.StageEncode], stages)
+		if stages[trace.StageEncode] != tc.encode {
+			t.Errorf("%s: %d encode spans, want %d; have %v", tc.id, stages[trace.StageEncode], tc.encode, stages)
+		}
+		if stages[trace.StageDecode] != 1 || stages[trace.StageWrite] != 1 {
+			t.Errorf("%s: want one decode and one write span; have %v", tc.id, stages)
 		}
 		if got := stages[trace.StageMaterialize] == 1; got != tc.materialize {
 			t.Errorf("%s: materialize span present = %v, want %v; have %v", tc.id, got, tc.materialize, stages)
