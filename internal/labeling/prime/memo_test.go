@@ -70,8 +70,12 @@ func assertMemos(t *testing.T, l *Labeling) {
 	maxBits := 0
 	for _, n := range xmltree.Elements(l.doc.Root) {
 		maxBits = max(maxBits, l.LabelOf(n).BitLen())
-		if got, want := l.LabelString(n), l.LabelOf(n).String(); got != want {
+		want := l.LabelOf(n).String()
+		if got := l.LabelString(n); got != want {
 			t.Fatalf("LabelString(%s) = %s, want %s", xmltree.PathTo(n), got, want)
+		}
+		if got := string(l.AppendLabel([]byte("x"), n)); got != "x"+want {
+			t.Fatalf("AppendLabel(%s) = %s, want x%s", xmltree.PathTo(n), got, want)
 		}
 	}
 	if got := l.MaxLabelBits(); got != maxBits {
@@ -86,7 +90,33 @@ func TestLabelStringUnlabeled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.LabelString(xmltree.NewElement("ghost")); got != "" {
+	ghost := xmltree.NewElement("ghost")
+	if got := l.LabelString(ghost); got != "" {
 		t.Errorf("unlabeled LabelString = %q, want empty", got)
 	}
+	if got := string(l.AppendLabel([]byte("x"), ghost)); got != "x" {
+		t.Errorf("unlabeled AppendLabel appended %q", got[1:])
+	}
+}
+
+// TestAppendLabelBig covers labels past 64 bits, which AppendLabel copies
+// from the memoized string: a 30-deep chain multiplies 30 primes.
+func TestAppendLabelBig(t *testing.T) {
+	root := xmltree.NewElement("r")
+	leaf := root
+	for i := 0; i < 30; i++ {
+		c := xmltree.NewElement("c")
+		if err := leaf.AppendChild(c); err != nil {
+			t.Fatal(err)
+		}
+		leaf = c
+	}
+	l, err := Scheme{}.New(xmltree.NewDocument(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits := l.LabelOf(leaf).BitLen(); bits <= 64 {
+		t.Fatalf("leaf label has %d bits, want more than 64", bits)
+	}
+	assertMemos(t, l)
 }

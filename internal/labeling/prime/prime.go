@@ -530,6 +530,22 @@ func (l *Labeling) LabelString(n *xmltree.Node) string {
 	return s
 }
 
+// AppendLabel appends LabelString(n) to dst without building a string for
+// a label that fits in 64 bits; a larger label is copied from the memoized
+// string. Nothing is appended for an unlabeled node. Safe for concurrent
+// readers, like LabelString.
+func (l *Labeling) AppendLabel(dst []byte, n *xmltree.Node) []byte {
+	nl, ok := l.labels[n]
+	switch {
+	case !ok:
+		return dst
+	case nl.small:
+		return strconv.AppendUint(dst, nl.u64, 10)
+	default:
+		return append(dst, l.LabelString(n)...)
+	}
+}
+
 // MaxLabelBits implements labeling.Labeling in O(1): the highest non-empty
 // bucket of the bit-length histogram.
 func (l *Labeling) MaxLabelBits() int {

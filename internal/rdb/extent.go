@@ -10,6 +10,7 @@ package rdb
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -35,6 +36,11 @@ const (
 	// needs only the distinct inner rows, so pair materialization and the
 	// projection's dedup both vanish.
 	planExtentCover = "extent-cover"
+	// planExtentRangeCover is the following/preceding semi-join: with no
+	// positional predicate the union of the context rows' ranges is one
+	// range, cut by a single bound. Chosen on ordered tables only, for the
+	// same error-parity reason as planExtentRange.
+	planExtentRangeCover = "extent-range-cover"
 	// planStackMerge is the label-predicate stack merge (StackTree).
 	planStackMerge = "stack-merge"
 	// planOrderScan is the pairwise order-predicate join (possibly sharded).
@@ -184,27 +190,33 @@ func (t *Table) extentProbe(ctx, cands RowSet, childOnly bool) Pairs {
 // each candidate inside any context subtree is emitted exactly once, in
 // ascending row order. Subtree intervals are laminar — a later context row
 // is either nested inside the rightmost swept interval (extent within
-// `covered`, nothing new) or starts past it — so one sweep of the ascending
-// context rows with a monotone candidate cursor is O(|ctx| + |cands|),
+// `covered`, nothing new) or starts past it — so the answer is a sequence
+// of disjoint runs of the candidate list, one per outermost context row,
+// found by galloping a monotone cursor: O(|ctx| + runs·log|cands|),
 // independent of how many (ancestor, descendant) pairs the full join would
-// enumerate. Output equals Pairs.ProjectIn() of that join, byte for byte.
+// enumerate. The runs are measured first so the result is allocated once.
+// Output equals Pairs.ProjectIn() of that join, byte for byte.
 func (t *Table) descendantCover(ctx, cands RowSet) RowSet {
-	var out RowSet
-	covered := -1 // rightmost row any swept subtree reaches
-	j := 0
-	for _, o := range ctx {
-		if t.extent[o] <= covered {
-			continue
+	runs := func(emit func(lo, hi int)) {
+		covered := -1 // rightmost row any swept subtree reaches
+		j := 0
+		for _, o := range ctx {
+			if t.extent[o] <= covered {
+				continue
+			}
+			lo := gallop(cands, j, o+1)
+			j = gallop(cands, lo, t.extent[o]+1)
+			emit(lo, j)
+			covered = t.extent[o]
 		}
-		for j < len(cands) && cands[j] <= o {
-			j++
-		}
-		for j < len(cands) && cands[j] <= t.extent[o] {
-			out = append(out, cands[j])
-			j++
-		}
-		covered = t.extent[o]
 	}
+	n := 0
+	runs(func(lo, hi int) { n += hi - lo })
+	if n == 0 {
+		return nil
+	}
+	out := make(RowSet, 0, n)
+	runs(func(lo, hi int) { out = append(out, cands[lo:hi]...) })
 	return out
 }
 
@@ -228,6 +240,34 @@ func (t *Table) rangeJoin(ctx, cands RowSet, following bool) Pairs {
 			if t.extent[i] < c {
 				out = append(out, Pair{Out: c, In: i})
 			}
+		}
+	}
+	return out
+}
+
+// rangeCover projects rangeJoin without materializing it. following(c) is
+// the candidates past extent[c], so their union over the context is the
+// candidates past the smallest such extent. preceding(c) is the candidates
+// i with extent[i] < c (which implies i < c), so the union is the
+// candidates whose subtree ends before the largest context row. One pass
+// over the candidates, in ascending row order; output equals
+// Pairs.ProjectIn() of rangeJoin's pairs.
+func (t *Table) rangeCover(ctx, cands RowSet, following bool) RowSet {
+	if len(ctx) == 0 {
+		return nil
+	}
+	if following {
+		first := t.extent[ctx[0]]
+		for _, c := range ctx[1:] {
+			first = min(first, t.extent[c])
+		}
+		return slices.Clone(cands[sort.SearchInts(cands, first+1):])
+	}
+	last := ctx[len(ctx)-1]
+	var out RowSet
+	for _, i := range cands[:sort.SearchInts(cands, last)] {
+		if t.extent[i] < last {
+			out = append(out, i)
 		}
 	}
 	return out

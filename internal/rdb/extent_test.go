@@ -26,6 +26,10 @@ var axisQueries = []string{
 	"//act[1]/scene[1]/speech",
 	"//speaker/following::line",
 	"//line/preceding::speaker",
+	"//scene//following::speaker",
+	"//speech//preceding::scene",
+	"//speaker/following::line[2]",
+	"//line/preceding::speaker[1]",
 	"//scene/following-sibling::scene",
 	"//speech/preceding-sibling::speech",
 	"//speech/following-sibling::speech[3]",
@@ -141,12 +145,27 @@ func TestExtentPlannerParityAllAxes(t *testing.T) {
 	if last.JoinPlan != planExtentMerge && last.JoinPlan != planExtentProbe {
 		t.Fatalf("//act//speech[2] join plan = %s, want a pair-producing extent plan", last.JoinPlan)
 	}
-	if _, _, err := ext.ExecPathStringExplain("//speaker/following::line", &ex); err != nil {
-		t.Fatal(err)
-	}
-	last = ex.Steps[len(ex.Steps)-1]
-	if last.JoinPlan != planExtentRange {
-		t.Fatalf("following axis join plan = %s, want %s", last.JoinPlan, planExtentRange)
+	// Without a positional predicate following and preceding collapse to
+	// the range semi-join, whose Pairs column equals Emitted; with one they
+	// need the per-context pairs of the range scan.
+	for q, want := range map[string]string{
+		"//speaker/following::line":    planExtentRangeCover,
+		"//scene//following::speaker":  planExtentRangeCover,
+		"//speech//preceding::scene":   planExtentRangeCover,
+		"//line/preceding::speaker":    planExtentRangeCover,
+		"//speaker/following::line[2]": planExtentRange,
+		"//line/preceding::speaker[1]": planExtentRange,
+	} {
+		if _, _, err := ext.ExecPathStringExplain(q, &ex); err != nil {
+			t.Fatal(err)
+		}
+		last = ex.Steps[len(ex.Steps)-1]
+		if last.JoinPlan != want {
+			t.Fatalf("%s join plan = %s, want %s", q, last.JoinPlan, want)
+		}
+		if want == planExtentRangeCover && last.Pairs != last.Emitted {
+			t.Fatalf("%s: semi-join Pairs %d != Emitted %d", q, last.Pairs, last.Emitted)
+		}
 	}
 	if _, _, err := ext.ExecPathStringExplain("//speech/following-sibling::speech[3]", &ex); err != nil {
 		t.Fatal(err)
@@ -184,6 +203,42 @@ func TestDescendantCoverMatchesProjection(t *testing.T) {
 	}
 	if got := tab.descendantCover(ctx, nil); len(got) != 0 {
 		t.Fatalf("cover of empty candidates = %v", got)
+	}
+}
+
+// TestRangeCoverMatchesProjection holds the following/preceding semi-join
+// to the projection of the range scan's pairs, on random context sets
+// that mix nested rows (acts and their scenes) and single rows.
+func TestRangeCoverMatchesProjection(t *testing.T) {
+	doc := datasets.Play(7, 3, 400)
+	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := Build(lab)
+	tab.Plan = Extent
+	tab.Warm()
+	rng := rand.New(rand.NewSource(5))
+	pool := append(append(RowSet{}, tab.Scan("act")...), tab.Scan("scene")...)
+	for trial := 0; trial < 50; trial++ {
+		var ctx RowSet
+		for _, r := range pool {
+			if rng.Intn(4) == 0 {
+				ctx = append(ctx, r)
+			}
+		}
+		sort.Ints(ctx)
+		for _, tag := range []string{"line", "speech", "scene", "act"} {
+			cands := tab.Scan(tag)
+			for _, following := range []bool{true, false} {
+				want := tab.rangeJoin(ctx, cands, following).ProjectIn()
+				got := tab.rangeCover(ctx, cands, following)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("rangeCover(following=%v, %d ctx rows, //%s) = %d rows, projection %d rows",
+						following, len(ctx), tag, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 
@@ -342,5 +397,41 @@ func TestStackJoinEmitsSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d: stack %v, nested loop %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestExecPathResultDoesNotAlias holds the executor to its copy rule:
+// candidates are read from the tag index without a copy, so a result that
+// is a tag's whole row list (an unfiltered //tag) must still come back as
+// the caller's own slice. Overwriting every returned row must not change a
+// later answer or the index.
+func TestExecPathResultDoesNotAlias(t *testing.T) {
+	doc := datasets.Play(3, 2, 60)
+	lab, err := (prime.Scheme{Opts: prime.Options{TrackOrder: true}}).Label(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := Build(lab)
+	tab.Plan = Extent
+	tab.Warm()
+	for _, q := range []string{"//speech", "//*", "//act[1]", "//act//speech", "//speaker/following::line", "/play"} {
+		first, err := tab.ExecPathString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(first)
+		for i := range first {
+			first[i] = -1
+		}
+		again, err := tab.ExecPathString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(again); got != want {
+			t.Fatalf("%s after overwriting an earlier result = %s, want %s", q, got, want)
+		}
+	}
+	if err := tab.Diff(Build(lab)); err != nil {
+		t.Fatal(err)
 	}
 }

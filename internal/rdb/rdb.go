@@ -12,6 +12,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"primelabel/internal/labeling"
@@ -459,17 +460,25 @@ type RowSet []int
 
 // Scan returns the rows matching a tag name ("*" scans everything).
 func (t *Table) Scan(tag string) RowSet {
+	rows, shared := t.tagRows(tag)
+	if shared {
+		return slices.Clone(rows)
+	}
+	return rows
+}
+
+// tagRows is Scan without the copy: for a tag it returns the tag index's
+// own slice (shared reports this), which the caller must not modify or
+// let escape; "*" builds a fresh all-rows set.
+func (t *Table) tagRows(tag string) (rows RowSet, shared bool) {
 	if tag == "*" {
 		all := make(RowSet, len(t.nodes))
 		for i := range all {
 			all[i] = i
 		}
-		return all
+		return all, false
 	}
-	src := t.byTag[tag]
-	out := make(RowSet, len(src))
-	copy(out, src)
-	return out
+	return t.byTag[tag], true
 }
 
 // Nodes resolves a RowSet to its nodes.
@@ -488,18 +497,18 @@ type Pair struct{ Out, In int }
 // Pairs is a join result set.
 type Pairs []Pair
 
-// ProjectIn returns the distinct inner rows in ascending order.
+// ProjectIn returns the distinct inner rows in ascending order (nil for
+// no pairs): sorted, then compacted in place.
 func (ps Pairs) ProjectIn() RowSet {
-	seen := make(map[int]bool, len(ps))
-	var out RowSet
-	for _, p := range ps {
-		if !seen[p.In] {
-			seen[p.In] = true
-			out = append(out, p.In)
-		}
+	if len(ps) == 0 {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	out := make(RowSet, len(ps))
+	for i, p := range ps {
+		out[i] = p.In
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // JoinPred decides whether an (outer, inner) node pair joins.
@@ -563,18 +572,23 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 		return nil, errors.New("rdb: empty query")
 	}
 	// ctx == nil denotes the document context before the first step.
+	// Candidates are read straight from the tag index; only a filtered
+	// step copies. ctxShared marks a context that is still the index's own
+	// slice (an unfiltered //tag first step), copied before it is returned
+	// so no result aliases the index.
 	var ctx RowSet
+	ctxShared := false
 	atDocument := true
 	for _, step := range q.Steps {
-		cands := t.Scan(step.Name)
+		cands, shared := t.tagRows(step.Name)
 		if len(step.Filters) > 0 {
-			filtered := cands[:0]
+			var filtered RowSet
 			for _, id := range cands {
 				if step.Matches(t.nodes[id]) {
 					filtered = append(filtered, id)
 				}
 			}
-			cands = filtered
+			cands, shared = filtered, false
 		}
 		if stats != nil {
 			stats.Candidates += len(cands)
@@ -587,7 +601,7 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 					next = RowSet{0}
 				}
 			case xpath.AxisDescendant:
-				next = cands
+				next, ctxShared = cands, shared
 			}
 			if step.Pos > 0 {
 				if step.Pos <= len(next) {
@@ -595,6 +609,7 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 				} else {
 					next = nil
 				}
+				ctxShared = false
 			}
 			atDocument = false
 			ctx = next
@@ -616,15 +631,22 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 		}
 		var joined int
 		var plan string
-		if t.Plan == Extent && step.Axis == xpath.AxisDescendant && step.Pos == 0 {
-			// No positional predicate means only the distinct inner rows
-			// survive this step, so the descendant join collapses to an
-			// interval-cover semi-join: no pairs, no projection dedup. For a
-			// semi-join the explain Pairs column equals Emitted.
+		ctxShared = false
+		// No positional predicate means only the distinct inner rows
+		// survive this step, so the descendant, following and preceding
+		// joins collapse to semi-joins: no pairs, no projection dedup. For a
+		// semi-join the explain Pairs column equals Emitted.
+		semi := t.Plan == Extent && step.Pos == 0
+		switch {
+		case semi && step.Axis == xpath.AxisDescendant:
 			ctx = t.descendantCover(ctx, cands)
 			joined = len(ctx)
 			plan = planExtentCover
-		} else {
+		case semi && t.ordered && (step.Axis == xpath.AxisFollowing || step.Axis == xpath.AxisPreceding):
+			ctx = t.rangeCover(ctx, cands, step.Axis == xpath.AxisFollowing)
+			joined = len(ctx)
+			plan = planExtentRangeCover
+		default:
 			pairs, p, err := t.joinStep(ctx, cands, step, stats)
 			if err != nil {
 				return nil, err
@@ -647,6 +669,9 @@ func (t *Table) execPath(q xpath.Query, stats *ExecStats, ex *Explain) (RowSet, 
 		if len(ctx) == 0 {
 			return nil, nil
 		}
+	}
+	if ctxShared {
+		ctx = slices.Clone(ctx)
 	}
 	return ctx, nil
 }

@@ -105,14 +105,14 @@ func appendNodes(b []byte, nodes []NodeRef) []byte {
 		b = append(b, `{"id":`...)
 		b = strconv.AppendInt(b, int64(n.ID), 10)
 		b = append(b, `,"path":`...)
-		b = appendString(b, n.Path)
+		b = AppendString(b, n.Path)
 		if n.Label != "" {
 			b = append(b, `,"label":`...)
-			b = appendString(b, n.Label)
+			b = AppendString(b, n.Label)
 		}
 		if n.Text != "" {
 			b = append(b, `,"text":`...)
-			b = appendString(b, n.Text)
+			b = AppendString(b, n.Text)
 		}
 		b = append(b, '}')
 	}
@@ -128,11 +128,13 @@ var htmlSafe = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString writes s as a JSON string the way encoding/json does with
+// AppendString appends s as a JSON string the way encoding/json does with
 // HTML escaping on: <, > and & as six-byte \u00XX escapes, like every other
 // control byte except \b, \f, \n, \r and \t, which get two-byte escapes;
 // invalid UTF-8 as \ufffd; and U+2028 and U+2029 escaped for JSONP safety.
-func appendString(b []byte, s string) []byte {
+// Exported for encoders that write NodeRef fields without building a
+// NodeRef. Safe for concurrent use on distinct buffers.
+func AppendString(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0

@@ -2,12 +2,11 @@ package server
 
 import (
 	"container/list"
-	"context"
 	"sync"
 	"sync/atomic"
 
+	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
-	"primelabel/internal/server/trace"
 )
 
 // queryCache is a fixed-capacity LRU of query results for one document.
@@ -21,11 +20,10 @@ import (
 //
 // The cache has its own mutex so readers holding the document's RLock can
 // share it: lookups and fills interleave freely across concurrent queries.
-// Entries and the *api.QueryResponse values they hold are shared between
-// requests and immutable once stored, apart from the lazily filled hit
-// body; put replaces an entry rather than rewriting it. The hit/miss
-// counters are atomics read by the metrics scraper without taking the
-// cache lock.
+// Entries are shared between requests and immutable once stored, apart
+// from the lazily filled node-ref memo; put replaces an entry rather than
+// rewriting it. The hit/miss counters are atomics read by the metrics
+// scraper without taking the cache lock.
 type queryCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -36,44 +34,39 @@ type queryCache struct {
 	misses atomic.Uint64 // lookups that fell through to evaluation
 }
 
+// cacheEntry is one cached result. A count slot (countCacheKey) holds only
+// count; a full entry also holds the result rows, which stay valid row ids
+// for as long as the entry's generation is current, and which every hit
+// re-reads under the document's read lock.
 type cacheEntry struct {
-	key  string
-	gen  uint64 // document generation the response was computed against
-	resp *api.QueryResponse
+	key   string
+	gen   uint64 // document generation the result was computed against
+	count int
+	rows  rdb.RowSet
 
-	// body memoizes resp encoded exactly as a cache hit answers it, filled
-	// on the first hit that asks for it (hitBody). A fill that races a
-	// newer generation's put lands on the entry put replaced, which no
-	// lookup returns again.
-	body atomic.Pointer[[]byte]
+	// body is the /query answer to a nodes-mode hit without explain
+	// (cached:true), copied at put from the bytes of the /query miss that
+	// filled the entry; nil when an in-process Store.Query filled it.
+	body []byte
+	// nodes memoizes rows as node refs for in-process hits, filled on the
+	// first one (nodesOf).
+	nodes atomic.Pointer[[]api.NodeRef]
 }
 
-// hitResponse returns a copy of the entry's response marked as a cache
-// hit. The copy shares the entry's node slice.
-func (e *cacheEntry) hitResponse() *api.QueryResponse {
-	resp := *e.resp
-	resp.Cached = true
-	return &resp
-}
-
-// hitBody returns hitResponse's JSON encoding (api.AppendQueryResponse),
-// encoding it on the first call and recording that call's encode span on
-// ctx's trace. Concurrent first calls may each encode; the bytes are
-// identical and the first published copy is kept. The returned slice is
-// shared by every later hit and must not be modified.
-func (e *cacheEntry) hitBody(ctx context.Context) ([]byte, error) {
-	if b := e.body.Load(); b != nil {
-		return *b, nil
+// nodesOf returns the entry's rows as node refs, materialized from d on
+// the first call. The caller holds d's read lock at the entry's
+// generation. Concurrent first calls may each materialize; the refs are
+// identical and the first published slice is kept. The slice is shared by
+// every later hit and must not be modified.
+func (e *cacheEntry) nodesOf(d *document) []api.NodeRef {
+	if p := e.nodes.Load(); p != nil {
+		return *p
 	}
-	defer trace.Start(ctx, trace.StageEncode)()
-	b, err := api.AppendQueryResponse(nil, e.hitResponse())
-	if err != nil {
-		return nil, err
+	nodes := d.newMaterializer().nodes(e.rows)
+	if !e.nodes.CompareAndSwap(nil, &nodes) {
+		nodes = *e.nodes.Load()
 	}
-	if !e.body.CompareAndSwap(nil, &b) {
-		b = *e.body.Load()
-	}
-	return b, nil
+	return nodes
 }
 
 // newQueryCache returns an LRU holding up to capacity results; capacity <= 0
@@ -113,23 +106,25 @@ func (c *queryCache) get(query string, gen uint64) (*cacheEntry, bool) {
 	return ent, true
 }
 
-// put stores a response computed at generation gen, evicting the least
-// recently used entry when full. A same-query entry (from an older
-// generation, say) is replaced in its LRU slot by a fresh entry, so its
-// hit body goes with it.
-func (c *queryCache) put(query string, gen uint64, resp *api.QueryResponse) {
+// enabled reports whether put stores anything, so a miss can skip
+// building an entry's hit body when the cache is off.
+func (c *queryCache) enabled() bool { return c.cap > 0 }
+
+// put stores ent, evicting the least recently used entry when full. A
+// same-key entry (from an older generation, say) is replaced in its LRU
+// slot.
+func (c *queryCache) put(ent *cacheEntry) {
 	if c.cap <= 0 {
 		return
 	}
-	ent := &cacheEntry{key: query, gen: gen, resp: resp}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[query]; ok {
+	if el, ok := c.items[ent.key]; ok {
 		el.Value = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[query] = c.ll.PushFront(ent)
+	c.items[ent.key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

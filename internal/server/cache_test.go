@@ -3,8 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,21 +13,20 @@ import (
 
 func TestQueryCacheLRUEviction(t *testing.T) {
 	c := newQueryCache(2)
-	r := func(n int) *api.QueryResponse { return &api.QueryResponse{Count: n} }
-	c.put("a", 0, r(1))
-	c.put("b", 0, r(2))
+	c.put(&cacheEntry{key: "a", gen: 0, count: 1})
+	c.put(&cacheEntry{key: "b", gen: 0, count: 2})
 	if _, ok := c.get("a", 0); !ok {
 		t.Fatal("a missing before capacity reached")
 	}
 	// a was just used, so adding c must evict b.
-	c.put("c", 0, r(3))
+	c.put(&cacheEntry{key: "c", gen: 0, count: 3})
 	if _, ok := c.get("b", 0); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if got, ok := c.get("a", 0); !ok || got.resp.Count != 1 {
+	if got, ok := c.get("a", 0); !ok || got.count != 1 {
 		t.Fatalf("a = %+v, %v", got, ok)
 	}
-	if got, ok := c.get("c", 0); !ok || got.resp.Count != 3 {
+	if got, ok := c.get("c", 0); !ok || got.count != 3 {
 		t.Fatalf("c = %+v, %v", got, ok)
 	}
 	if c.len() != 2 {
@@ -37,10 +36,10 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 
 func TestQueryCacheReplaceInPlace(t *testing.T) {
 	c := newQueryCache(4)
-	c.put("q", 1, &api.QueryResponse{Count: 1})
-	c.put("q", 1, &api.QueryResponse{Count: 2}) // replace in place
-	if got, _ := c.get("q", 1); got.resp.Count != 2 {
-		t.Fatalf("replace kept old value %d", got.resp.Count)
+	c.put(&cacheEntry{key: "q", gen: 1, count: 1})
+	c.put(&cacheEntry{key: "q", gen: 1, count: 2}) // replace in place
+	if got, _ := c.get("q", 1); got.count != 2 {
+		t.Fatalf("replace kept old value %d", got.count)
 	}
 	if c.len() != 1 {
 		t.Fatalf("len = %d after replace, want 1", c.len())
@@ -53,9 +52,9 @@ func TestQueryCacheReplaceInPlace(t *testing.T) {
 // anywhere.
 func TestQueryCacheGenerationTagging(t *testing.T) {
 	c := newQueryCache(4)
-	c.put("q", 1, &api.QueryResponse{Count: 1})
-	c.put("other", 1, &api.QueryResponse{Count: 9})
-	if got, ok := c.get("q", 1); !ok || got.resp.Count != 1 {
+	c.put(&cacheEntry{key: "q", gen: 1, count: 1})
+	c.put(&cacheEntry{key: "other", gen: 1, count: 9})
+	if got, ok := c.get("q", 1); !ok || got.count != 1 {
 		t.Fatalf("same-generation lookup missed: %+v, %v", got, ok)
 	}
 	if _, ok := c.get("q", 2); ok {
@@ -65,12 +64,12 @@ func TestQueryCacheGenerationTagging(t *testing.T) {
 		t.Fatalf("stale entry not evicted lazily: len = %d, want 1", c.len())
 	}
 	// The untouched entry survives the other's invalidation (no sweep)...
-	if got, ok := c.get("other", 1); !ok || got.resp.Count != 9 {
+	if got, ok := c.get("other", 1); !ok || got.count != 9 {
 		t.Fatalf("unrelated entry lost: %+v, %v", got, ok)
 	}
 	// ...and a put at the new generation overwrites gen and value together.
-	c.put("other", 2, &api.QueryResponse{Count: 10})
-	if got, ok := c.get("other", 2); !ok || got.resp.Count != 10 {
+	c.put(&cacheEntry{key: "other", gen: 2, count: 10})
+	if got, ok := c.get("other", 2); !ok || got.count != 10 {
 		t.Fatalf("new generation missed: %+v, %v", got, ok)
 	}
 	if _, ok := c.get("other", 1); ok {
@@ -84,7 +83,7 @@ func TestQueryCacheGenerationTagging(t *testing.T) {
 func TestQueryCacheCounters(t *testing.T) {
 	c := newQueryCache(4)
 	c.get("q", 1) // miss: empty
-	c.put("q", 1, &api.QueryResponse{Count: 1})
+	c.put(&cacheEntry{key: "q", gen: 1, count: 1})
 	c.get("q", 1) // hit
 	c.get("q", 1) // hit
 	c.get("q", 2) // miss: stale generation
@@ -95,7 +94,7 @@ func TestQueryCacheCounters(t *testing.T) {
 
 func TestQueryCacheDisabled(t *testing.T) {
 	c := newQueryCache(0)
-	c.put("q", 0, &api.QueryResponse{Count: 1})
+	c.put(&cacheEntry{key: "q", gen: 0, count: 1})
 	if _, ok := c.get("q", 0); ok {
 		t.Fatal("capacity 0 must never cache")
 	}
@@ -117,7 +116,7 @@ func TestQueryCacheConcurrent(t *testing.T) {
 				key := fmt.Sprintf("q%d", (w+i)%12)
 				gen := uint64(i / 50)
 				if _, ok := c.get(key, gen); !ok {
-					c.put(key, gen, &api.QueryResponse{Count: i})
+					c.put(&cacheEntry{key: key, gen: gen, count: i})
 				}
 			}
 		}(w)
@@ -125,121 +124,107 @@ func TestQueryCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheEntryHitBody pins the hit-body memo: the bytes are
-// api.AppendQueryResponse of the entry's response with Cached set, and
-// every later hit gets the same bytes without re-encoding.
+// TestCacheEntryHitBody pins the hit body a /query miss leaves in its
+// entry: api.AppendQueryResponse of the entry's rows as node refs with
+// Cached set, built from the miss's own bytes even when the miss carried
+// an explain profile, which the hit body must not.
 func TestCacheEntryHitBody(t *testing.T) {
-	c := newQueryCache(4)
-	resp := &api.QueryResponse{Generation: 3, Count: 1, Nodes: []api.NodeRef{{ID: 2, Path: "/a/b", Label: "6", Text: "x"}}}
-	c.put("q", 3, resp)
-	ent, ok := c.get("q", 3)
-	if !ok {
-		t.Fatal("miss")
-	}
-	want, err := api.AppendQueryResponse(nil, &api.QueryResponse{Generation: 3, Count: 1, Cached: true, Nodes: resp.Nodes})
-	if err != nil {
+	ctx := context.Background()
+	st := NewStore(NewMetrics(), 4)
+	if _, err := st.Load(ctx, "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := ent.hitBody(context.Background())
-	if err != nil || !bytes.Equal(first, want) {
-		t.Fatalf("hit body = %q, %v; want %q", first, err, want)
+	miss, shared, err := st.appendQuery(ctx, "books", api.QueryRequest{XPath: "//book"}, true, nil)
+	if err != nil || shared || !bytes.Contains(miss, []byte(`"explain":`)) {
+		t.Fatalf("explain miss = %q, shared %v, %v", miss, shared, err)
 	}
-	again, _ := ent.hitBody(context.Background())
-	if &again[0] != &first[0] {
-		t.Fatal("second hit re-encoded the body")
+	d, _ := st.get("books")
+	ent, ok := d.cache.get("//book", 0)
+	if !ok || ent.count != 3 || len(ent.rows) != 3 {
+		t.Fatalf("entry = %+v, %v", ent, ok)
 	}
-	if resp.Cached {
-		t.Fatal("hitBody marked the cached response itself")
+	want, err := api.AppendQueryResponse(nil, &api.QueryResponse{
+		Count: 3, Cached: true, Nodes: d.newMaterializer().nodes(ent.rows),
+	})
+	if err != nil || !bytes.Equal(ent.body, want) {
+		t.Fatalf("hit body = %q, want %q", ent.body, want)
+	}
+	hit, shared, err := st.appendQuery(ctx, "books", api.QueryRequest{XPath: "//book"}, false, nil)
+	if err != nil || !shared || &hit[0] != &ent.body[0] {
+		t.Fatalf("hit answered %q (shared %v, %v), not the entry's body", hit, shared, err)
+	}
+	if ent.nodes.Load() != nil {
+		t.Fatal("the /query path materialized node refs")
 	}
 }
 
 // TestQueryCacheHitBodyGenerations checks that a newer generation never
 // serves an older generation's bytes: neither after a stale probe evicts
-// the entry, nor when put replaces a same-key entry in place, nor when a
-// reader fills the body of an entry put has already replaced.
+// the entry, nor when put replaces a same-key entry in place, and a reader
+// still holding a replaced entry keeps that entry's own bytes.
 func TestQueryCacheHitBodyGenerations(t *testing.T) {
-	ctx := context.Background()
-	genOf := func(b []byte) uint64 {
-		var r api.QueryResponse
-		if err := json.Unmarshal(b, &r); err != nil {
-			t.Fatal(err)
-		}
-		return r.Generation
+	entry := func(gen uint64) *cacheEntry {
+		return &cacheEntry{key: "q", gen: gen, body: []byte(fmt.Sprint(gen))}
 	}
 	c := newQueryCache(4)
-	c.put("q", 1, &api.QueryResponse{Generation: 1})
-	e1, _ := c.get("q", 1)
-	if _, err := e1.hitBody(ctx); err != nil {
-		t.Fatal(err)
-	}
+	c.put(entry(1))
+	stale, _ := c.get("q", 1)
 	// In-place replacement at a newer generation.
-	c.put("q", 2, &api.QueryResponse{Generation: 2})
-	e2, ok := c.get("q", 2)
-	if !ok || e2 == e1 || e2.body.Load() != nil {
+	c.put(entry(2))
+	if e2, ok := c.get("q", 2); !ok || e2 == stale || string(e2.body) != "2" {
 		t.Fatalf("put at generation 2 kept the old entry or its body (ok=%v)", ok)
 	}
-	if b, _ := e2.hitBody(ctx); genOf(b) != 2 {
-		t.Fatalf("generation 2 served %q", b)
+	if string(stale.body) != "1" {
+		t.Fatalf("replaced entry's body changed to %q", stale.body)
 	}
-	// A reader still holding the replaced entry fills only that entry.
-	stale, _ := c.get("q", 2)
-	c.put("q", 3, &api.QueryResponse{Generation: 3})
-	if b, _ := stale.hitBody(ctx); genOf(b) != 2 {
-		t.Fatalf("stale entry served %q", b)
-	}
-	if e3, _ := c.get("q", 3); e3.body.Load() != nil {
-		t.Fatal("late fill of a replaced entry reached its replacement")
-	}
-	// A stale probe evicts; the re-put starts without a body.
-	if _, ok := c.get("q", 4); ok {
+	// A stale probe evicts; the re-put serves its own bytes.
+	if _, ok := c.get("q", 3); ok {
 		t.Fatal("stale generation hit")
 	}
-	c.put("q", 4, &api.QueryResponse{Generation: 4})
-	if e4, _ := c.get("q", 4); e4.body.Load() != nil {
-		t.Fatal("re-put after eviction carried a body")
+	if c.len() != 0 {
+		t.Fatalf("stale entry not evicted: len = %d", c.len())
+	}
+	c.put(entry(3))
+	if e3, ok := c.get("q", 3); !ok || string(e3.body) != "3" {
+		t.Fatal("re-put after eviction did not serve its own body")
 	}
 }
 
-// TestCacheEntryHitBodyConcurrentFirstHit races many readers on the first
-// hit of one entry (run under -race): every reader gets the same bytes,
-// and the published body is one of them.
-func TestCacheEntryHitBodyConcurrentFirstHit(t *testing.T) {
-	c := newQueryCache(4)
-	nodes := make([]api.NodeRef, 500)
-	for i := range nodes {
-		nodes[i] = api.NodeRef{ID: i, Path: "/a/b", Label: fmt.Sprint(2 * i)}
-	}
-	c.put("q", 7, &api.QueryResponse{Generation: 7, Count: len(nodes), Nodes: nodes})
-	want, err := api.AppendQueryResponse(nil, &api.QueryResponse{Generation: 7, Count: len(nodes), Cached: true, Nodes: nodes})
-	if err != nil {
+// TestCacheEntryNodesConcurrentFirstHit races many in-process readers on
+// the first hit of one entry (run under -race): every reader gets the
+// entry's rows as node refs, and the published memo is one of them.
+func TestCacheEntryNodesConcurrentFirstHit(t *testing.T) {
+	ctx := context.Background()
+	st := NewStore(NewMetrics(), 4)
+	if _, err := st.Load(ctx, "books", api.LoadRequest{XML: sampleXML, TrackOrder: true}); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := st.appendQuery(ctx, "books", api.QueryRequest{XPath: "//*"}, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := st.get("books")
+	ent, _ := d.cache.get("//*", 0)
+	want := d.newMaterializer().nodes(ent.rows)
 	const readers = 16
-	bodies := make([][]byte, readers)
+	got := make([]*api.QueryResponse, readers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := range bodies {
+	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			ent, ok := c.get("q", 7)
-			if !ok {
-				t.Error("miss")
-				return
-			}
-			bodies[i], _ = ent.hitBody(context.Background())
+			got[i], _ = st.Query(ctx, "books", "//*")
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	ent, _ := c.get("q", 7)
-	if p := ent.body.Load(); p == nil || !bytes.Equal(*p, want) {
-		t.Fatal("published body is missing or wrong")
+	if p := ent.nodes.Load(); p == nil || !reflect.DeepEqual(*p, want) {
+		t.Fatal("published node refs are missing or wrong")
 	}
-	for i, b := range bodies {
-		if !bytes.Equal(b, want) {
-			t.Fatalf("reader %d got %d bytes, want the %d-byte hit body", i, len(b), len(want))
+	for i, r := range got {
+		if r == nil || !r.Cached || !reflect.DeepEqual(r.Nodes, want) {
+			t.Fatalf("reader %d got %+v, want the entry's %d node refs", i, r, len(want))
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"primelabel/internal/rdb"
 	"primelabel/internal/server/api"
 	"primelabel/internal/server/cluster"
 	"primelabel/internal/server/persist"
@@ -686,30 +687,18 @@ func (s *Server) answerQuery(ctx context.Context, w http.ResponseWriter, r *http
 	}
 }
 
-// queryBody runs a /query request and returns its JSON body. A nodes-mode
-// cache hit without explain answers with the entry's memoized bytes (buf
-// nil); any other answer is encoded into a pooled buffer returned in buf.
+// queryBody runs a /query request and returns its JSON body: a
+// nodes-mode cache hit without explain answers with the entry's own bytes
+// (buf nil); any other answer is encoded into a pooled buffer returned in
+// buf.
 func (s *Server) queryBody(ctx context.Context, name string, req api.QueryRequest, explain bool) (body []byte, buf *[]byte, err error) {
-	resp, hit, err := s.store.queryMode(ctx, name, req.XPath, req.Mode, explain)
-	switch {
-	case err != nil:
-		return nil, nil, err
-	case hit != nil:
-		body, err = hit.hitBody(ctx)
-	default:
-		endEncode := trace.Start(ctx, trace.StageEncode)
-		buf = bodyPool.Get().(*[]byte)
-		body, err = api.AppendQueryResponse((*buf)[:0], resp)
-		*buf = body
-		endEncode()
-		if err != nil {
-			putBody(buf)
-			buf = nil
-		}
+	buf = bodyPool.Get().(*[]byte)
+	body, shared, err := s.store.appendQuery(ctx, name, req, explain, (*buf)[:0])
+	if err != nil || shared {
+		putBody(buf)
+		return body, nil, err
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("encode query response: %w", err)
-	}
+	*buf = body
 	return body, buf, nil
 }
 
@@ -752,7 +741,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	var buf []byte
+	var buf []byte // one line buffer, reused by every chunk
+	write := func() error {
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		return rc.Flush()
+	}
 	wrote := false
 	emit := func(v any) error {
 		if !wrote {
@@ -765,15 +760,18 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			if buf, err = api.AppendStreamChunk(buf[:0], &c); err != nil {
 				return err
 			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		} else if err := enc.Encode(v); err != nil {
+			return write()
+		}
+		if err := enc.Encode(v); err != nil {
 			return err
 		}
 		return rc.Flush()
 	}
-	err := s.store.QueryStream(r.Context(), r.PathValue("name"), req.XPath, explainParam(r), emit)
+	chunk := func(m *materializer, rows rdb.RowSet) error {
+		buf = m.appendChunk(buf[:0], rows)
+		return write()
+	}
+	err := s.store.queryStream(r.Context(), r.PathValue("name"), req.XPath, explainParam(r), emit, chunk)
 	if err != nil && !wrote {
 		writeError(w, err)
 		return

@@ -388,10 +388,10 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestQueryHitBody drives /query over HTTP through a miss, the first hit
-// (which fills the cache entry's body memo) and a memo hit, and checks what
-// each answers: the hit body is the entry's response encoded with Cached
-// set, identical on every hit, with a matching Content-Length. Count and
+// TestQueryHitBody drives /query over HTTP through a miss (which leaves
+// the cache entry's hit body) and two hits, and checks what each answers:
+// the hit body is the entry's rows encoded with Cached set, identical on
+// every hit, with a matching Content-Length. Count and
 // exists answers from the full entry and explain hits are unaffected, and
 // after an update the new generation's bytes are served, never the old.
 func TestQueryHitBody(t *testing.T) {
@@ -435,10 +435,12 @@ func TestQueryHitBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	ent, ok := d.cache.get("//book", 0)
-	if !ok || ent.body.Load() == nil {
-		t.Fatal("first hit did not fill the entry's body")
+	if !ok || !bytes.Equal(ent.body, hit) {
+		t.Fatal("the hit did not answer with its entry's body")
 	}
-	want, err := api.AppendQueryResponse(nil, ent.hitResponse())
+	want, err := api.AppendQueryResponse(nil, &api.QueryResponse{
+		Count: ent.count, Cached: true, Nodes: d.newMaterializer().nodes(ent.rows),
+	})
 	if err != nil || !bytes.Equal(hit, want) {
 		t.Fatalf("hit body %q, want AppendQueryResponse of the entry %q", hit, want)
 	}

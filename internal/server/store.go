@@ -435,16 +435,49 @@ func (s *Store) QueryExplain(ctx context.Context, name, query string) (*api.Quer
 	return s.QueryMode(ctx, name, query, api.QueryModeNodes, true)
 }
 
-// query is the nodes-mode body of QueryMode. A cache hit without explain
-// returns the cache entry alone (resp nil), so /query can answer from the
-// entry's memoized body; every other outcome returns a response.
-func (s *Store) query(ctx context.Context, name, query string, explain bool) (*api.QueryResponse, *cacheEntry, error) {
+// queryOut is a nodes-mode answer: resp for the in-process API, or the
+// /query body. A body is appended to the caller's buffer unless shared is
+// set, in which case it is a cache entry's own bytes and must not be
+// modified.
+type queryOut struct {
+	resp   *api.QueryResponse
+	body   []byte
+	shared bool
+}
+
+// appendQuery answers a /query request in any mode as its JSON body,
+// appended to dst or shared with a cache entry (see queryOut). Nodes mode
+// encodes rows straight into dst; count and exists encode their small
+// response.
+func (s *Store) appendQuery(ctx context.Context, name string, req api.QueryRequest, explain bool, dst []byte) (body []byte, shared bool, err error) {
+	if req.Mode == api.QueryModeNodes {
+		out, err := s.query(ctx, name, req.XPath, explain, dst, true)
+		return out.body, out.shared, err
+	}
+	resp, err := s.QueryMode(ctx, name, req.XPath, req.Mode, explain)
+	if err != nil {
+		return nil, false, err
+	}
+	defer trace.Start(ctx, trace.StageEncode)()
+	if body, err = api.AppendQueryResponse(dst, resp); err != nil {
+		return nil, false, fmt.Errorf("encode query response: %w", err)
+	}
+	return body, false, nil
+}
+
+// query is the nodes-mode body of QueryMode (asBytes false: the answer is
+// resp) and of /query (asBytes true: the answer is body, see queryOut).
+// Either way the terminal runs under the document's read lock, recorded as
+// one encode span: a miss turns its rows into node refs or appends their
+// JSON to dst, and caches the rows with the bytes a later hit answers
+// with; a hit answers from those bytes, or re-reads the entry's rows.
+func (s *Store) query(ctx context.Context, name, query string, explain bool, dst []byte, asBytes bool) (queryOut, error) {
 	if query == "" {
-		return nil, nil, fmt.Errorf("%w: empty xpath", ErrBadRequest)
+		return queryOut{}, fmt.Errorf("%w: empty xpath", ErrBadRequest)
 	}
 	d, err := s.get(name)
 	if err != nil {
-		return nil, nil, err
+		return queryOut{}, err
 	}
 	start := time.Now()
 	s.metrics.queries.Add(1)
@@ -464,17 +497,32 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 			Doc: name, Query: query, Latency: time.Since(start),
 			CacheHit: true, Frozen: frozenServe,
 		})
-		if !explain {
-			return nil, cached, nil
+		var profile *api.QueryExplain
+		if explain {
+			profile = &api.QueryExplain{
+				Shape:    s.querystats.ShapeOf(query),
+				CacheHit: true,
+				Backend:  d.backendName(frozenServe),
+				Stages:   explainStages(ctx),
+			}
 		}
-		resp := cached.hitResponse()
-		resp.Explain = &api.QueryExplain{
-			Shape:    s.querystats.ShapeOf(query),
-			CacheHit: true,
-			Backend:  d.backendName(frozenServe),
-			Stages:   explainStages(ctx),
+		if !asBytes {
+			return queryOut{resp: &api.QueryResponse{
+				Generation: d.gen, Count: cached.count, Cached: true,
+				Nodes: cached.nodesOf(d), Explain: profile,
+			}}, nil
 		}
-		return resp, nil, nil
+		switch {
+		case cached.body == nil: // filled in process: encode its rows
+			endEncode := trace.Start(ctx, trace.StageEncode)
+			dst, _ = d.newMaterializer().appendBody(dst, cached.rows, true)
+			endEncode()
+		case profile == nil:
+			return queryOut{body: cached.body, shared: true}, nil
+		default: // splice the profile in before the closing brace
+			dst = append(dst, cached.body[:len(cached.body)-len("}\n")]...)
+		}
+		return closedBody(dst, profile)
 	}
 	s.metrics.cacheMisses.Add(1)
 	table := d.table
@@ -511,16 +559,24 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 			Doc: name, Query: query, Latency: time.Since(start),
 			Frozen: frozenServe, Err: true,
 		})
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return queryOut{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	endMat := trace.Start(ctx, trace.StageMaterialize)
-	resp := &api.QueryResponse{
-		Generation: d.gen,
-		Count:      len(rows),
-		Nodes:      d.newMaterializer().nodes(rows),
+	endEncode := trace.Start(ctx, trace.StageEncode)
+	ent := &cacheEntry{key: query, gen: d.gen, count: len(rows), rows: rows}
+	var out queryOut
+	if asBytes {
+		var at int
+		dst, at = d.newMaterializer().appendBody(dst, rows, false)
+		if d.cache.enabled() {
+			ent.body = hitBody(dst, at)
+		}
+	} else {
+		nodes := d.newMaterializer().nodes(rows)
+		ent.nodes.Store(&nodes)
+		out.resp = &api.QueryResponse{Generation: d.gen, Count: len(rows), Nodes: nodes}
 	}
-	endMat()
-	d.cache.put(query, d.gen, resp)
+	endEncode()
+	d.cache.put(ent)
 
 	// Build the planner-summary profile on every miss (the query-stats
 	// registry attaches it to a shape's slowest call); step, fastpath and
@@ -543,14 +599,23 @@ func (s *Store) query(ctx context.Context, name, query string, explain bool) (*a
 		Doc: name, Query: query, Latency: time.Since(start),
 		Candidates: stats.Candidates, Frozen: frozenServe, Profile: profile,
 	})
-	if explain {
-		// The cache holds the profile-free response; the profiled copy is
-		// this request's alone.
-		out := *resp
-		out.Explain = profile
-		return &out, nil, nil
+	if !explain {
+		profile = nil
 	}
-	return resp, nil, nil
+	if asBytes {
+		return closedBody(dst, profile)
+	}
+	out.resp.Explain = profile
+	return out, nil
+}
+
+// closedBody closes an open /query body as query's answer.
+func closedBody(b []byte, profile *api.QueryExplain) (queryOut, error) {
+	b, err := closeBody(b, profile)
+	if err != nil {
+		return queryOut{}, fmt.Errorf("encode query response: %w", err)
+	}
+	return queryOut{body: b}, nil
 }
 
 // node resolves a document-order id under the caller-held lock.
@@ -1038,149 +1103,4 @@ func rawChildIndex(parent *xmltree.Node, elemIdx int) int {
 		}
 	}
 	return len(parent.Children)
-}
-
-// materializer turns result rows into node refs under the caller-held
-// document read lock. A full query uses one per miss; a stream keeps one
-// across its chunks.
-type materializer struct {
-	d *document
-	// chain is the last row's parent and its ancestors with their tag
-	// paths, root first (chain[i] is at depth i). Rows arrive in document
-	// order, so the next row usually shares the whole chain and otherwise
-	// most of it: only the links it does not share are re-derived.
-	chain []chainLink
-	// up is scratch for enter.
-	up []*xmltree.Node
-	// paths interns tag paths by parent path and tag. A document has few
-	// distinct tag paths, so rows share path strings instead of each
-	// allocating its own.
-	paths map[pathKey]string
-}
-
-type chainLink struct {
-	node *xmltree.Node
-	path string
-}
-
-type pathKey struct{ parent, name string }
-
-func (d *document) newMaterializer() *materializer {
-	return &materializer{d: d, paths: make(map[pathKey]string)}
-}
-
-// nodes materializes rows in order; nil for an empty row set.
-func (m *materializer) nodes(rows rdb.RowSet) []api.NodeRef {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]api.NodeRef, len(rows))
-	for i, id := range rows {
-		n := m.d.table.Node(id)
-		out[i] = api.NodeRef{
-			ID:    id,
-			Path:  m.rowPath(n),
-			Label: labelString(m.d.lab, n),
-			Text:  n.Text(),
-		}
-	}
-	return out
-}
-
-// rowPath returns xmltree.PathTo(n) through the memo.
-func (m *materializer) rowPath(n *xmltree.Node) string {
-	p := n.Parent
-	if p == nil {
-		return n.Name
-	}
-	if k := len(m.chain); k == 0 || m.chain[k-1].node != p {
-		m.enter(p)
-	}
-	return m.child(m.chain[len(m.chain)-1].path, n.Name)
-}
-
-// enter makes p the chain's last link, keeping the links of the ancestors
-// it shares with the current chain.
-func (m *materializer) enter(p *xmltree.Node) {
-	m.up = m.up[:0]
-	for a := p; a != nil; a = a.Parent {
-		m.up = append(m.up, a)
-	}
-	top := len(m.up) - 1 // m.up[top-i] is p's ancestor at depth i
-	i := 0
-	for i < len(m.chain) && i <= top && m.chain[i].node == m.up[top-i] {
-		i++
-	}
-	m.chain = m.chain[:i]
-	for ; i <= top; i++ {
-		a := m.up[top-i]
-		path := a.Name
-		if i > 0 {
-			path = m.child(m.chain[i-1].path, a.Name)
-		}
-		m.chain = append(m.chain, chainLink{node: a, path: path})
-	}
-}
-
-// child returns the interned path parent + "/" + name.
-func (m *materializer) child(parent, name string) string {
-	k := pathKey{parent, name}
-	s, ok := m.paths[k]
-	if !ok {
-		s = parent + "/" + name
-		m.paths[k] = s
-	}
-	return s
-}
-
-// labelString renders a node's label in scheme-specific human-readable
-// form, mirroring primelabel.Document.Label.
-func labelString(lab labeling.Labeling, n *xmltree.Node) string {
-	switch l := lab.(type) {
-	case *prime.Labeling:
-		return l.LabelString(n)
-	case *prime.BottomUpLabeling:
-		return l.LabelOf(n).String()
-	case *prime.DecomposedLabeling:
-		parts := []string{}
-		for _, e := range l.ChainOf(n) {
-			parts = append(parts, e.String())
-		}
-		return strings.Join(parts, ".")
-	case *interval.Labeling:
-		a, b, ok := l.Interval(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", a, b)
-	case *prefix.Labeling:
-		bits, ok := l.BitsOf(n)
-		if !ok {
-			return ""
-		}
-		if bits.Len() == 0 {
-			return "ε"
-		}
-		return bits.String()
-	case *prefix.DeweyLabeling:
-		s, _ := l.DeweyOf(n)
-		if s == "" {
-			return "ε"
-		}
-		return s
-	case *floatlab.Labeling:
-		a, b, ok := l.Interval(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%g,%g)", a, b)
-	case *compact.Labeling:
-		cl, ok := l.LabelOf(n)
-		if !ok {
-			return ""
-		}
-		return fmt.Sprintf("(%d,%d)", cl.Start, cl.End)
-	default:
-		return fmt.Sprintf("<%d bits>", lab.LabelBits(n))
-	}
 }

@@ -34,24 +34,14 @@ const streamChunkSize = 256
 // empty mode) behaves exactly like Query/QueryExplain, count and exists
 // skip node materialization entirely.
 func (s *Store) QueryMode(ctx context.Context, name, query, mode string, explain bool) (*api.QueryResponse, error) {
-	resp, hit, err := s.queryMode(ctx, name, query, mode, explain)
-	if hit != nil {
-		return hit.hitResponse(), nil
-	}
-	return resp, err
-}
-
-// queryMode is QueryMode, except that a nodes-mode cache hit without
-// explain returns its cache entry instead of a response (see query).
-func (s *Store) queryMode(ctx context.Context, name, query, mode string, explain bool) (*api.QueryResponse, *cacheEntry, error) {
 	switch mode {
 	case api.QueryModeNodes:
-		return s.query(ctx, name, query, explain)
+		out, err := s.query(ctx, name, query, explain, nil, false)
+		return out.resp, err
 	case api.QueryModeCount, api.QueryModeExists:
-		resp, err := s.queryFast(ctx, name, query, mode, explain)
-		return resp, nil, err
+		return s.queryFast(ctx, name, query, mode, explain)
 	default:
-		return nil, nil, fmt.Errorf("%w: unknown query mode %q", ErrBadRequest, mode)
+		return nil, fmt.Errorf("%w: unknown query mode %q", ErrBadRequest, mode)
 	}
 }
 
@@ -96,7 +86,7 @@ func (s *Store) queryFast(ctx context.Context, name, query, mode string, explain
 	frozenServe := d.frozen != nil && d.frozenOrder
 	if ok {
 		s.metrics.cacheHits.Add(1)
-		resp := modeResponse(d.gen, cached.resp.Count, mode)
+		resp := modeResponse(d.gen, cached.count, mode)
 		resp.Cached = true
 		if explain {
 			resp.Explain = &api.QueryExplain{
@@ -136,7 +126,7 @@ func (s *Store) queryFast(ctx context.Context, name, query, mode string, explain
 		})
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	d.cache.put(countCacheKey(query), d.gen, &api.QueryResponse{Generation: d.gen, Count: len(rows)})
+	d.cache.put(&cacheEntry{key: countCacheKey(query), gen: d.gen, count: len(rows)})
 	profile := d.queryProfile(s, query, stats, frozenServe)
 	if explain {
 		profile.Steps = explainSteps(ex)
@@ -187,6 +177,16 @@ func (d *document) queryProfile(s *Store, query string, stats rdb.ExecStats, fro
 // stream_first_byte span covers entry to just after the header emit, and
 // stream_write the materialize-and-emit loop after it.
 func (s *Store) QueryStream(ctx context.Context, name, query string, explain bool, emit func(v any) error) error {
+	return s.queryStream(ctx, name, query, explain, emit, func(m *materializer, rows rdb.RowSet) error {
+		return emit(api.StreamChunk{Nodes: m.nodes(rows)})
+	})
+}
+
+// queryStream is QueryStream with the node chunks handed to chunk instead
+// of emit: the rows of one chunk and the stream's materializer, which the
+// /query/stream handler uses to encode the chunk's line straight from the
+// rows. A cache hit streams the entry's rows.
+func (s *Store) queryStream(ctx context.Context, name, query string, explain bool, emit func(v any) error, chunk func(m *materializer, rows rdb.RowSet) error) error {
 	endFirst := trace.Start(ctx, trace.StageStreamFirstByte)
 	firstEnded := false
 	finishFirst := func() {
@@ -222,6 +222,7 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 	var ex *rdb.Explain
 	if hit {
 		s.metrics.cacheHits.Add(1)
+		rows = cached.rows
 	} else {
 		s.metrics.cacheMisses.Add(1)
 		table := d.table
@@ -247,29 +248,15 @@ func (s *Store) QueryStream(ctx context.Context, name, query string, explain boo
 			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
-	count := len(rows)
-	if hit {
-		count = cached.resp.Count
-	}
-	if err := emit(api.StreamHeader{Generation: d.gen, Count: count, Cached: hit}); err != nil {
+	if err := emit(api.StreamHeader{Generation: d.gen, Count: len(rows), Cached: hit}); err != nil {
 		return err
 	}
 	finishFirst()
 
 	endWrite := trace.Start(ctx, trace.StageStreamWrite)
 	mat := d.newMaterializer()
-	for base := 0; base < count; base += streamChunkSize {
-		end := base + streamChunkSize
-		if end > count {
-			end = count
-		}
-		var nodes []api.NodeRef
-		if hit {
-			nodes = cached.resp.Nodes[base:end]
-		} else {
-			nodes = mat.nodes(rows[base:end])
-		}
-		if err := emit(api.StreamChunk{Nodes: nodes}); err != nil {
+	for base := 0; base < len(rows); base += streamChunkSize {
+		if err := chunk(mat, rows[base:min(base+streamChunkSize, len(rows))]); err != nil {
 			endWrite()
 			return err
 		}

@@ -36,13 +36,11 @@ const (
 	StageCacheLookup = "cache_lookup"
 	// StageXPathEval is XPath-subset evaluation against the element table.
 	StageXPathEval = "xpath_eval"
-	// StageMaterialize is a full query miss turning result rows into node
-	// refs (paths, labels, text). Streamed queries materialize inside
-	// stream_write instead.
-	StageMaterialize = "materialize"
-	// StageEncode is building a query response body in JSON: on every
-	// miss, and on the first cache hit of an entry, which keeps the bytes
-	// for the hits after it.
+	// StageEncode is building a query response body in JSON. On a nodes
+	// query miss it covers the rows' paths, labels and text, written
+	// straight into the body; a cache hit answers with its entry's bytes
+	// and records none. Streamed queries encode inside stream_write
+	// instead.
 	StageEncode = "encode"
 	// StageWrite is handing a /query response body to the connection.
 	StageWrite = "write"
@@ -108,7 +106,7 @@ const (
 // metric registry builds one histogram per entry at startup.
 var Stages = []string{
 	StageDecode, StageLockWait, StageCacheLookup, StageXPathEval, StageQueryFanout,
-	StageMaterialize, StageEncode, StageWrite, StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
+	StageEncode, StageWrite, StageLabelProbe, StageParse, StageLabel, StageIndex, StageRelabel,
 	StageReindex, StageCodecEncode, StageSnapshotWrite, StageJournalAppend,
 	StageJournalGroupWait, StageJournalFsync, StageReplicaStream,
 	StageReplicaApply, StageFreezeRelabel, StageThaw,
